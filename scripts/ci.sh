@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI entry point: build and test the two supported configurations, then
-# smoke-run the wall-clock bench harness.
+# CI entry point: build and test the two supported configurations, smoke-run
+# the wall-clock bench harness, and check that every committed simulated
+# result still comes out the same.
 #
 #  * Debug: no NDEBUG, every assert live — the config that catches contract
 #    violations.
@@ -23,21 +24,23 @@ ctest --test-dir build-release --output-on-failure -j"$jobs"
 
 build-release/bench/wallclock --quick --json \
     build-release/BENCH_wallclock_smoke.json
-build-release/bench/flow_scaling --quick --json \
-    build-release/BENCH_flow_scaling_smoke.json
-build-release/bench/fault_recovery --quick --json \
-    build-release/BENCH_fault_recovery_smoke.json
-build-release/bench/latency_profile --quick --json \
-    build-release/BENCH_latency_smoke.json
-build-release/bench/offload_sweep --quick --json \
-    build-release/BENCH_offload_smoke.json
-build-release/bench/workload --quick --json \
-    build-release/BENCH_workload_smoke.json
-build-release/bench/overload --quick --json \
-    build-release/BENCH_overload_smoke.json
+
+# Same bytes: simulated results are deterministic, so regenerate each
+# committed simulated-result artifact in full (about 80 s together) and
+# require every simulated field to match the committed copy. bench_diff.py
+# skips the host-time fields (wall time, events/s, RSS).
+for b in latency_profile:latency offload_sweep:offload workload:workload \
+         overload:overload fault_recovery:fault_recovery \
+         flow_scaling:flow_scaling; do
+    bin=${b%%:*}
+    name=${b#*:}
+    "build-release/bench/$bin" --json "build-release/BENCH_$name.json"
+    python3 scripts/bench_diff.py "BENCH_$name.json" \
+        "build-release/BENCH_$name.json"
+done
 
 # Schema validation: every benchmark artifact — committed or freshly emitted
-# by the smoke runs above — must carry the versioned-schema marker so
+# by the runs above — must carry the versioned-schema marker so
 # downstream consumers can detect layout changes.
 for f in BENCH_*.json build-release/BENCH_*.json; do
     [ -e "$f" ] || continue

@@ -13,9 +13,8 @@ Host::Host(sim::Simulator& sim, HostParams params, std::string name)
       pin_cache_(vm_, params_.pin_cache_pages),
       intr_acct_(cpu_.make_account("intr")),
       wheel_(sim) {
-  net::HostEnv env{sim_, cpu_, pool_, vm_, pin_cache_, params_.costs, intr_acct_};
-  env.wheel = &wheel_;
-  stack_ = std::make_unique<net::NetStack>(env);
+  stack_ = std::make_unique<net::NetStack>(net::HostEnv{
+      sim_, cpu_, pool_, vm_, pin_cache_, wheel_, params_.costs, intr_acct_});
 }
 
 drivers::CabDriver& Host::attach_cab(hippi::Fabric& fabric, hippi::Addr haddr,

@@ -94,8 +94,8 @@ class Host {
   mem::Vm vm_;
   mem::PinCache pin_cache_;
   sim::AccountId intr_acct_;
-  // Declared before stack_: the stack's TIME-WAIT/zombie timers may live on
-  // the wheel, so the stack must be destroyed first.
+  // Declared before stack_: the stack's timers live on the wheel, so the
+  // stack must be destroyed first.
   sim::TimerWheel wheel_;
   std::unique_ptr<net::NetStack> stack_;
   std::vector<std::unique_ptr<net::Ifnet>> devices_;

@@ -1,57 +1,13 @@
 #include "core/multi_testbed.h"
 
-#include "core/impairment_chain.h"
-
 namespace nectar::core {
-
-namespace {
-constexpr hippi::Addr kHaClientBase = 0x200;
-constexpr hippi::Addr kHaServerBase = 0x400;
-
-ImpairmentSpec spec_from(const MultiTestbedOptions& o) {
-  ImpairmentSpec s;
-  s.loss_rate = o.loss_rate;
-  s.loss_seed = o.loss_seed;
-  s.reorder_rate = o.reorder_rate;
-  s.reorder_hold = o.reorder_hold;
-  s.reorder_seed = o.reorder_seed;
-  s.corrupt_rate = o.corrupt_rate;
-  s.corrupt_seed = o.corrupt_seed;
-  s.dup_rate = o.dup_rate;
-  s.dup_seed = o.dup_seed;
-  s.rate_limit_bps = o.rate_limit_bps;
-  s.rate_limit_burst = o.rate_limit_burst;
-  s.partition_windows = o.partition_windows;
-  return s;
-}
-}  // namespace
-
-hippi::Fabric& MultiTestbed::fabric() {
-  if (rate_limit) return *rate_limit;
-  if (partition) return *partition;
-  if (lossy) return *lossy;
-  if (dup) return *dup;
-  if (reorder) return *reorder;
-  if (corrupt) return *corrupt;
-  return *sw;
-}
-
-std::vector<hippi::ImpairedFabric*> MultiTestbed::impairments() const {
-  return impairment_list(corrupt.get(), reorder.get(), dup.get(), lossy.get(),
-                         partition.get(), rate_limit.get());
-}
 
 MultiTestbed::MultiTestbed(MultiTestbedOptions o) : opts(std::move(o)) {
   if (opts.num_pairs == 0) opts.num_pairs = 1;
-  sw = std::make_unique<hippi::Switch>(sim, opts.mac_mode);
+  sw = std::make_unique<hippi::Switch>(sim, hippi::MacMode::kLogicalChannels);
+  build_chain(sim, *sw, opts);
 
-  build_impairment_chain(
-      sim, *sw, spec_from(opts),
-      ImpairmentSlots{corrupt, reorder, dup, lossy, partition, rate_limit});
-
-  HostParams hp = opts.params;
-  hp.cab.sdma.arb = opts.arb;
-  hp.cab.mdma.arb = opts.arb;
+  const HostParams hp = pair_params(opts.params, opts.arb);
 
   if (opts.telemetry) tel = std::make_unique<telemetry::Telemetry>(sim);
 
@@ -73,29 +29,9 @@ MultiTestbed::MultiTestbed(MultiTestbedOptions o) : opts(std::move(o)) {
         h->set_overload(overload_mgrs.back().get());
       }
     }
-    const auto ha_c = static_cast<hippi::Addr>(kHaClientBase + i);
-    const auto ha_s = static_cast<hippi::Addr>(kHaServerBase + i);
-    cab_clients.push_back(&clients[i]->attach_cab(fabric(), ha_c, client_ip(i)));
-    cab_servers.push_back(&servers[i]->attach_cab(fabric(), ha_s, server_ip(i)));
-    if (opts.offload) {
-      cab_clients.back()->enable_offload(opts.offload_cfg);
-      cab_servers.back()->enable_offload(opts.offload_cfg);
-    }
-    clients[i]->stack().routes().add(net::make_ip(10, 2, 0, 0), 16,
-                                     cab_clients[i]);
-    servers[i]->stack().routes().add(net::make_ip(10, 1, 0, 0), 16,
-                                     cab_servers[i]);
+    attach_pair(i, *clients[i], fabric(), *servers[i], fabric());
   }
-  // Full mesh of neighbor entries: flows are usually pairwise, but nothing
-  // stops an experiment from crossing pairs.
-  for (std::size_t i = 0; i < opts.num_pairs; ++i) {
-    for (std::size_t j = 0; j < opts.num_pairs; ++j) {
-      cab_clients[i]->add_neighbor(server_ip(j),
-                                   static_cast<hippi::Addr>(kHaServerBase + j));
-      cab_servers[i]->add_neighbor(client_ip(j),
-                                   static_cast<hippi::Addr>(kHaClientBase + j));
-    }
-  }
+  add_neighbor_mesh();
   if (tel) {
     const int sim_pid = tel->register_process("sim");
     tel->register_gauge("sim.pending_events", sim_pid, [this] {
@@ -103,14 +39,6 @@ MultiTestbed::MultiTestbed(MultiTestbedOptions o) : opts(std::move(o)) {
     });
     tel->start_ticker(opts.telemetry_tick);
   }
-}
-
-bool MultiTestbed::run_until_done(const bool& done, sim::Time deadline) {
-  while (!done && sim.now() < deadline) {
-    if (!sim.step()) break;
-    if (sim.now() > deadline) break;
-  }
-  return done;
 }
 
 }  // namespace nectar::core

@@ -14,42 +14,22 @@
 #pragma once
 
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "core/host.h"
-#include "core/packet_trace.h"
-#include "hippi/link.h"
+#include "core/testbed_core.h"
 #include "hippi/switch.h"
 
 namespace nectar::core {
 
-struct MultiTestbedOptions {
+struct MultiTestbedOptions : ImpairmentSpec {
   std::size_t num_pairs = 4;  // client/server host pairs on the switch
   HostParams params = HostParams::alpha3000_400();
-  hippi::MacMode mac_mode = hippi::MacMode::kLogicalChannels;
   // DMA service discipline for every CAB (overrides params.cab.*.arb).
   cab::ArbPolicy arb = cab::ArbPolicy::kFifo;
-  // Impairment chain, same knobs and layering as TestbedOptions.
-  double loss_rate = 0.0;
-  std::uint64_t loss_seed = 42;
-  double reorder_rate = 0.0;
-  sim::Duration reorder_hold = sim::usec(50.0);
-  std::uint64_t reorder_seed = 43;
-  double corrupt_rate = 0.0;
-  std::uint64_t corrupt_seed = 44;
-  double dup_rate = 0.0;
-  std::uint64_t dup_seed = 45;
-  double rate_limit_bps = 0.0;
-  std::size_t rate_limit_burst = 64 * 1024;
-  std::vector<std::pair<sim::Time, sim::Time>> partition_windows;
   // Opt-in observability: one shared telemetry::Telemetry registry across all
   // hosts (every client/server is its own trace process).
   bool telemetry = false;
   sim::Duration telemetry_tick = sim::usec(100.0);
-  // Large-segment offload (TSO/GRO analogue) on every CAB driver.
-  bool offload = false;
-  drivers::OffloadConfig offload_cfg = {};
   // Overload-survival subsystem (admission control + ECN backpressure): one
   // OverloadManager per host — pressure on one host must not mark or defer
   // another host's traffic.
@@ -57,29 +37,13 @@ struct MultiTestbedOptions {
   overload::OverloadConfig overload_cfg = {};
 };
 
-class MultiTestbed {
+class MultiTestbed : public FlatSim, public ImpairmentChain, public PairPlan {
  public:
   explicit MultiTestbed(MultiTestbedOptions opts = {});
 
-  [[nodiscard]] static net::IpAddr client_ip(std::size_t i) noexcept {
-    return net::make_ip(10, 1, static_cast<std::uint8_t>(i >> 8),
-                        static_cast<std::uint8_t>((i & 0xff) + 1));
-  }
-  [[nodiscard]] static net::IpAddr server_ip(std::size_t i) noexcept {
-    return net::make_ip(10, 2, static_cast<std::uint8_t>(i >> 8),
-                        static_cast<std::uint8_t>((i & 0xff) + 1));
-  }
-
-  sim::Simulator sim;
   MultiTestbedOptions opts;
 
   std::unique_ptr<hippi::Switch> sw;
-  std::unique_ptr<hippi::CorruptFabric> corrupt;
-  std::unique_ptr<hippi::ReorderFabric> reorder;
-  std::unique_ptr<hippi::DupFabric> dup;
-  std::unique_ptr<hippi::LossyFabric> lossy;
-  std::unique_ptr<hippi::PartitionFabric> partition;
-  std::unique_ptr<hippi::RateLimitFabric> rate_limit;
   std::unique_ptr<telemetry::Telemetry> tel;  // when opts.telemetry
   // Per-host overload managers (when opts.overload): clients then servers,
   // same order as the host vectors.
@@ -87,14 +51,6 @@ class MultiTestbed {
 
   std::vector<std::unique_ptr<Host>> clients;
   std::vector<std::unique_ptr<Host>> servers;
-  std::vector<drivers::CabDriver*> cab_clients;
-  std::vector<drivers::CabDriver*> cab_servers;
-
-  [[nodiscard]] std::size_t num_pairs() const noexcept { return clients.size(); }
-  [[nodiscard]] hippi::Fabric& fabric();
-  [[nodiscard]] std::vector<hippi::ImpairedFabric*> impairments() const;
-
-  bool run_until_done(const bool& done, sim::Time deadline);
 };
 
 }  // namespace nectar::core

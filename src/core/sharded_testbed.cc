@@ -2,31 +2,7 @@
 
 #include <string>
 
-#include "core/impairment_chain.h"
-
 namespace nectar::core {
-
-namespace {
-constexpr hippi::Addr kHaClientBase = 0x200;
-constexpr hippi::Addr kHaServerBase = 0x400;
-
-ImpairmentSpec spec_from(const ShardedTestbedOptions& o) {
-  ImpairmentSpec s;
-  s.loss_rate = o.loss_rate;
-  s.loss_seed = o.loss_seed;
-  s.reorder_rate = o.reorder_rate;
-  s.reorder_hold = o.reorder_hold;
-  s.reorder_seed = o.reorder_seed;
-  s.corrupt_rate = o.corrupt_rate;
-  s.corrupt_seed = o.corrupt_seed;
-  s.dup_rate = o.dup_rate;
-  s.dup_seed = o.dup_seed;
-  s.rate_limit_bps = o.rate_limit_bps;
-  s.rate_limit_burst = o.rate_limit_burst;
-  s.partition_windows = o.partition_windows;
-  return s;
-}
-}  // namespace
 
 ShardedTestbed::ShardedTestbed(ShardedTestbedOptions o)
     : engine(1 + 2 * (o.num_pairs == 0 ? 1 : o.num_pairs),
@@ -37,10 +13,8 @@ ShardedTestbed::ShardedTestbed(ShardedTestbedOptions o)
   engine.set_workers(opts.workers);
 
   sim::Simulator& fsim = engine.sim(kFabricShard);
-  sw = std::make_unique<hippi::Switch>(fsim, opts.mac_mode);
-  hippi::Fabric* outer = build_impairment_chain(
-      fsim, *sw, spec_from(opts),
-      ImpairmentSlots{corrupt, reorder, dup, lossy, partition, rate_limit});
+  sw = std::make_unique<hippi::Switch>(fsim, hippi::MacMode::kLogicalChannels);
+  build_chain(fsim, *sw, opts);
 
   if (opts.telemetry) {
     tels.resize(engine.num_shards());
@@ -57,9 +31,7 @@ ShardedTestbed::ShardedTestbed(ShardedTestbedOptions o)
     }
   }
 
-  HostParams hp = opts.params;
-  hp.cab.sdma.arb = opts.arb;
-  hp.cab.mdma.arb = opts.arb;
+  const HostParams hp = pair_params(opts.params, opts.arb);
 
   const std::size_t pairs = opts.num_pairs;
   uplinks.reserve(2 * pairs);
@@ -75,38 +47,14 @@ ShardedTestbed::ShardedTestbed(ShardedTestbedOptions o)
       servers[i]->set_telemetry(tels[ss].get());
     }
     uplinks.push_back(std::make_unique<hippi::ShardUplink>(
-        engine, cs, kFabricShard, opts.wire_hop, *outer));
+        engine, cs, kFabricShard, opts.wire_hop, fabric()));
     hippi::ShardUplink& up_c = *uplinks.back();
     uplinks.push_back(std::make_unique<hippi::ShardUplink>(
-        engine, ss, kFabricShard, opts.wire_hop, *outer));
+        engine, ss, kFabricShard, opts.wire_hop, fabric()));
     hippi::ShardUplink& up_s = *uplinks.back();
-
-    const auto ha_c = static_cast<hippi::Addr>(kHaClientBase + i);
-    const auto ha_s = static_cast<hippi::Addr>(kHaServerBase + i);
-    cab_clients.push_back(&clients[i]->attach_cab(up_c, ha_c, client_ip(i)));
-    cab_servers.push_back(&servers[i]->attach_cab(up_s, ha_s, server_ip(i)));
-    if (opts.offload) {
-      cab_clients.back()->enable_offload(opts.offload_cfg);
-      cab_servers.back()->enable_offload(opts.offload_cfg);
-    }
-    clients[i]->stack().routes().add(net::make_ip(10, 2, 0, 0), 16,
-                                     cab_clients[i]);
-    servers[i]->stack().routes().add(net::make_ip(10, 1, 0, 0), 16,
-                                     cab_servers[i]);
+    attach_pair(i, *clients[i], up_c, *servers[i], up_s);
   }
-  for (std::size_t i = 0; i < pairs; ++i) {
-    for (std::size_t j = 0; j < pairs; ++j) {
-      cab_clients[i]->add_neighbor(server_ip(j),
-                                   static_cast<hippi::Addr>(kHaServerBase + j));
-      cab_servers[i]->add_neighbor(client_ip(j),
-                                   static_cast<hippi::Addr>(kHaClientBase + j));
-    }
-  }
-}
-
-std::vector<hippi::ImpairedFabric*> ShardedTestbed::impairments() const {
-  return impairment_list(corrupt.get(), reorder.get(), dup.get(), lossy.get(),
-                         partition.get(), rate_limit.get());
+  add_neighbor_mesh();
 }
 
 std::vector<const telemetry::Telemetry*> ShardedTestbed::telemetries() const {

@@ -22,11 +22,9 @@
 
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "core/host.h"
-#include "hippi/impairment.h"
+#include "core/testbed_core.h"
 #include "hippi/shard_link.h"
 #include "hippi/switch.h"
 #include "sim/parallel_engine.h"
@@ -34,50 +32,23 @@
 
 namespace nectar::core {
 
-struct ShardedTestbedOptions {
+struct ShardedTestbedOptions : ImpairmentSpec {
   std::size_t num_pairs = 4;   // client/server host pairs on the switch
   std::size_t workers = 1;     // worker threads for the engine
   std::uint64_t seed = 1;      // roots the per-shard RNG streams
   // Host-to-switch propagation per crossing; also the engine lookahead.
   sim::Duration wire_hop = sim::usec(1.0);
   HostParams params = HostParams::alpha3000_400();
-  hippi::MacMode mac_mode = hippi::MacMode::kLogicalChannels;
   cab::ArbPolicy arb = cab::ArbPolicy::kFifo;
-  // Impairment chain, same knobs and layering as MultiTestbedOptions.
-  double loss_rate = 0.0;
-  std::uint64_t loss_seed = 42;
-  double reorder_rate = 0.0;
-  sim::Duration reorder_hold = sim::usec(50.0);
-  std::uint64_t reorder_seed = 43;
-  double corrupt_rate = 0.0;
-  std::uint64_t corrupt_seed = 44;
-  double dup_rate = 0.0;
-  std::uint64_t dup_seed = 45;
-  double rate_limit_bps = 0.0;
-  std::size_t rate_limit_burst = 64 * 1024;
-  std::vector<std::pair<sim::Time, sim::Time>> partition_windows;
   // Opt-in observability: one telemetry registry PER SHARD (a registry binds
   // to one Simulator); telemetry::merged_metrics_json combines them.
   bool telemetry = false;
   sim::Duration telemetry_tick = sim::usec(100.0);
-  // Large-segment offload (TSO/GRO analogue) on every CAB driver.
-  bool offload = false;
-  drivers::OffloadConfig offload_cfg = {};
 };
 
-class ShardedTestbed {
+class ShardedTestbed : public ImpairmentChain, public PairPlan {
  public:
   explicit ShardedTestbed(ShardedTestbedOptions opts = {});
-
-  // Same address plan as MultiTestbed.
-  [[nodiscard]] static net::IpAddr client_ip(std::size_t i) noexcept {
-    return net::make_ip(10, 1, static_cast<std::uint8_t>(i >> 8),
-                        static_cast<std::uint8_t>((i & 0xff) + 1));
-  }
-  [[nodiscard]] static net::IpAddr server_ip(std::size_t i) noexcept {
-    return net::make_ip(10, 2, static_cast<std::uint8_t>(i >> 8),
-                        static_cast<std::uint8_t>((i & 0xff) + 1));
-  }
 
   static constexpr std::size_t kFabricShard = 0;
   [[nodiscard]] static std::size_t client_shard(std::size_t i) noexcept {
@@ -91,24 +62,14 @@ class ShardedTestbed {
   ShardedTestbedOptions opts;
 
   std::unique_ptr<hippi::Switch> sw;
-  std::unique_ptr<hippi::CorruptFabric> corrupt;
-  std::unique_ptr<hippi::ReorderFabric> reorder;
-  std::unique_ptr<hippi::DupFabric> dup;
-  std::unique_ptr<hippi::LossyFabric> lossy;
-  std::unique_ptr<hippi::PartitionFabric> partition;
-  std::unique_ptr<hippi::RateLimitFabric> rate_limit;
 
-  // uplinks[0..P-1] serve the clients, uplinks[P..2P-1] the servers.
+  // uplinks[2i] serves client i, uplinks[2i + 1] server i.
   std::vector<std::unique_ptr<hippi::ShardUplink>> uplinks;
   std::vector<std::unique_ptr<telemetry::Telemetry>> tels;  // per shard
 
   std::vector<std::unique_ptr<Host>> clients;
   std::vector<std::unique_ptr<Host>> servers;
-  std::vector<drivers::CabDriver*> cab_clients;
-  std::vector<drivers::CabDriver*> cab_servers;
 
-  [[nodiscard]] std::size_t num_pairs() const noexcept { return clients.size(); }
-  [[nodiscard]] std::vector<hippi::ImpairedFabric*> impairments() const;
   // Live telemetry registries in shard order (empty when telemetry is off).
   [[nodiscard]] std::vector<const telemetry::Telemetry*> telemetries() const;
 

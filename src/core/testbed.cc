@@ -1,59 +1,13 @@
 #include "core/testbed.h"
 
-#include "core/impairment_chain.h"
-
 namespace nectar::core {
 
-namespace {
-ImpairmentSpec spec_from(const TestbedOptions& o) {
-  ImpairmentSpec s;
-  s.loss_rate = o.loss_rate;
-  s.loss_seed = o.loss_seed;
-  s.reorder_rate = o.reorder_rate;
-  s.reorder_hold = o.reorder_hold;
-  s.reorder_seed = o.reorder_seed;
-  s.corrupt_rate = o.corrupt_rate;
-  s.corrupt_seed = o.corrupt_seed;
-  s.dup_rate = o.dup_rate;
-  s.dup_seed = o.dup_seed;
-  s.rate_limit_bps = o.rate_limit_bps;
-  s.rate_limit_burst = o.rate_limit_burst;
-  s.partition_windows = o.partition_windows;
-  s.with_partition = o.with_partition;
-  return s;
-}
-}  // namespace
-
-hippi::Fabric& Testbed::fabric() {
-  if (trace) return *trace;
-  if (rate_limit) return *rate_limit;
-  if (partition) return *partition;
-  if (lossy) return *lossy;
-  if (dup) return *dup;
-  if (reorder) return *reorder;
-  if (corrupt) return *corrupt;
-  if (sw) return *sw;
-  return *wire;
-}
-
-std::vector<hippi::ImpairedFabric*> Testbed::impairments() const {
-  return impairment_list(corrupt.get(), reorder.get(), dup.get(), lossy.get(),
-                         partition.get(), rate_limit.get());
-}
-
 Testbed::Testbed(TestbedOptions o) : opts(std::move(o)) {
-  if (opts.use_switch) {
-    sw = std::make_unique<hippi::Switch>(sim, opts.mac_mode);
-  } else {
-    wire = std::make_unique<hippi::DirectWire>(sim);
-  }
-  hippi::Fabric* inner = sw ? static_cast<hippi::Fabric*>(sw.get())
-                            : static_cast<hippi::Fabric*>(wire.get());
-  hippi::Fabric* outer = build_impairment_chain(
-      sim, *inner, spec_from(opts),
-      ImpairmentSlots{corrupt, reorder, dup, lossy, partition, rate_limit});
+  wire = std::make_unique<hippi::DirectWire>(sim);
+  build_chain(sim, *wire, opts, opts.with_partition);
   if (opts.trace_packets) {
-    trace = std::make_unique<PacketTrace>(sim, *outer);
+    trace = std::make_unique<PacketTrace>(sim, fabric());
+    outer_ = trace.get();
   }
 
   a = std::make_unique<Host>(sim, opts.params_a, "hostA");
@@ -64,7 +18,7 @@ Testbed::Testbed(TestbedOptions o) : opts(std::move(o)) {
     a->set_telemetry(tel.get());
     b->set_telemetry(tel.get());
     const int wire_pid = tel->register_process("wire");
-    if (wire) wire->set_telemetry(tel.get(), wire_pid);
+    wire->set_telemetry(tel.get(), wire_pid);
     tel->register_gauge("sim.pending_events", wire_pid, [this] {
       return static_cast<double>(sim.pending());
     });
@@ -98,14 +52,6 @@ Testbed::Testbed(TestbedOptions o) : opts(std::move(o)) {
     a->stack().routes().add(net::make_ip(192, 168, 1, 0), 24, eth_a);
     b->stack().routes().add(net::make_ip(192, 168, 1, 0), 24, eth_b);
   }
-}
-
-bool Testbed::run_until_done(const bool& done, sim::Time deadline) {
-  while (!done && sim.now() < deadline) {
-    if (!sim.step()) break;
-    if (sim.now() > deadline) break;
-  }
-  return done;
 }
 
 }  // namespace nectar::core

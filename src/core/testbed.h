@@ -1,7 +1,7 @@
 // Testbed: the standard two-host experiment topology used by the tests,
 // benchmarks, and examples.
 //
-//   host A (10.0.0.1) --CAB-- [HIPPI wire or switch, optional loss] --CAB-- host B (10.0.0.2)
+//   host A (10.0.0.1) --CAB-- [HIPPI wire, optional impairments] --CAB-- host B (10.0.0.2)
 //        \--Ethernet (192.168.1.1) ---- shared segment ---- (192.168.1.2)--/
 //
 // The Ethernet side (optional) exists to exercise the §5 interop paths: the
@@ -9,36 +9,18 @@
 #pragma once
 
 #include <memory>
-#include <utility>
-#include <vector>
 
-#include "core/host.h"
 #include "core/packet_trace.h"
 #include "core/stats.h"
+#include "core/testbed_core.h"
 #include "hippi/link.h"
-#include "hippi/switch.h"
 
 namespace nectar::core {
 
-struct TestbedOptions {
+struct TestbedOptions : ImpairmentSpec {
   HostParams params_a = HostParams::alpha3000_400();
   bool trace_packets = false;  // interpose a PacketTrace on the HIPPI fabric
   HostParams params_b = HostParams::alpha3000_400();
-  bool use_switch = false;
-  hippi::MacMode mac_mode = hippi::MacMode::kLogicalChannels;
-  double loss_rate = 0.0;       // packet loss on the HIPPI fabric
-  std::uint64_t loss_seed = 42;
-  double reorder_rate = 0.0;    // fraction of frames held back
-  sim::Duration reorder_hold = sim::usec(50.0);
-  std::uint64_t reorder_seed = 43;
-  double corrupt_rate = 0.0;    // fraction of frames with one bit flipped
-  std::uint64_t corrupt_seed = 44;
-  double dup_rate = 0.0;        // fraction of frames duplicated
-  std::uint64_t dup_seed = 45;
-  double rate_limit_bps = 0.0;  // bytes/s bottleneck; 0 = unlimited
-  std::size_t rate_limit_burst = 64 * 1024;
-  // Blackhole windows [start, end) applied by a PartitionFabric.
-  std::vector<std::pair<sim::Time, sim::Time>> partition_windows;
   // Create the PartitionFabric even with no windows, so a FaultInjector can
   // flap the link at runtime (fault::FaultKind::kLinkFlap).
   bool with_partition = false;
@@ -58,7 +40,7 @@ struct TestbedOptions {
   overload::OverloadConfig overload_cfg = {};
 };
 
-class Testbed {
+class Testbed : public FlatSim, public ImpairmentChain {
  public:
   explicit Testbed(TestbedOptions opts = {});
 
@@ -69,21 +51,12 @@ class Testbed {
   static constexpr hippi::Addr kHaA = 0x101;
   static constexpr hippi::Addr kHaB = 0x102;
 
-  sim::Simulator sim;
   TestbedOptions opts;
 
-  // Fabric chain, innermost first: the wire/switch, then one impairment per
-  // enabled option (corrupt → reorder → dup → lossy → partition → rate
-  // limit), then the trace. fabric() returns the outermost layer.
-  std::unique_ptr<hippi::DirectWire> wire;       // when !use_switch
-  std::unique_ptr<hippi::Switch> sw;             // when use_switch
-  std::unique_ptr<hippi::CorruptFabric> corrupt; // when corrupt_rate > 0
-  std::unique_ptr<hippi::ReorderFabric> reorder; // when reorder_rate > 0
-  std::unique_ptr<hippi::DupFabric> dup;         // when dup_rate > 0
-  std::unique_ptr<hippi::LossyFabric> lossy;     // when loss_rate > 0
-  std::unique_ptr<hippi::PartitionFabric> partition;  // when windows given
-  std::unique_ptr<hippi::RateLimitFabric> rate_limit; // when rate_limit_bps > 0
-  std::unique_ptr<PacketTrace> trace;            // when trace_packets
+  // Fabric chain, innermost first: the wire, the enabled impairments, then
+  // the trace. fabric() returns the outermost layer.
+  std::unique_ptr<hippi::DirectWire> wire;
+  std::unique_ptr<PacketTrace> trace;  // when trace_packets
   std::unique_ptr<drivers::EtherSegment> ether;
 
   std::unique_ptr<telemetry::Telemetry> tel;  // when opts.telemetry
@@ -97,15 +70,6 @@ class Testbed {
   drivers::CabDriver* cab_b = nullptr;
   drivers::EtherDriver* eth_a = nullptr;
   drivers::EtherDriver* eth_b = nullptr;
-
-  [[nodiscard]] hippi::Fabric& fabric();
-
-  // The active impairments, outermost first (for the JSON stats exporter).
-  [[nodiscard]] std::vector<hippi::ImpairedFabric*> impairments() const;
-
-  // Drive the simulator until `done` is true or `deadline` passes. Returns
-  // whether `done` fired.
-  bool run_until_done(const bool& done, sim::Time deadline);
 };
 
 }  // namespace nectar::core

@@ -18,15 +18,10 @@ NetStack::NetStack(HostEnv env) : env_(env) {
 }
 
 NetStack::~NetStack() {
-  // Outstanding TIME-WAIT / zombie-reaper timers capture `this`; the
-  // simulator (and possibly the wheel) outlive the stack, so disarm them.
+  // Outstanding TIME-WAIT / zombie-reaper timers capture `this`; the wheel
+  // outlives the stack, so disarm them.
   for (auto& tw : tw_slab_) tw.timer.cancel();
   for (auto& [tp, timer] : zombies_) timer.cancel();
-}
-
-sim::TimerHandle NetStack::proto_timer(sim::Duration d, sim::SmallFn fn) {
-  if (env_.wheel != nullptr) return env_.wheel->schedule_after(d, std::move(fn));
-  return env_.sim.timer_after(d, std::move(fn));
 }
 
 void NetStack::add_ifnet(Ifnet* ifp) {
@@ -142,7 +137,8 @@ void NetStack::adopt_zombie(std::unique_ptr<TcpConnection> tp) {
   constexpr sim::Duration kZombieLinger = 31 * sim::kSecond;
   zombies_.emplace_back(std::move(tp), sim::TimerHandle{});
   const auto it = std::prev(zombies_.end());
-  it->second = proto_timer(kZombieLinger, [this, it] { zombies_.erase(it); });
+  it->second = env_.wheel.schedule_after(kZombieLinger,
+                                         [this, it] { zombies_.erase(it); });
 }
 
 // --- compact TIME-WAIT ------------------------------------------------------
@@ -166,7 +162,7 @@ void NetStack::timewait_enter(const ConnKey& key, std::uint32_t rcv_nxt,
   tw.rcv_nxt = rcv_nxt;
   tw.snd_nxt = snd_nxt;
   tw.live = true;
-  tw.timer = proto_timer(linger, [this, idx] {
+  tw.timer = env_.wheel.schedule_after(linger, [this, idx] {
     TimeWaitRecord& rec = tw_slab_[idx];
     if (!rec.live) return;
     ++stats_.timewait_expiries;

@@ -46,17 +46,16 @@ struct HostEnv {
   mbuf::MbufPool& pool;
   mem::Vm& vm;
   mem::PinCache& pin_cache;
+  // Hierarchical timer wheel for protocol timers (RTO/delack/persist/
+  // TIME-WAIT): O(1) schedule/cancel regardless of how many connections are
+  // ticking.
+  sim::TimerWheel& wheel;
   StackCosts costs;
   sim::AccountId intr_acct = 0;  // CPU account for interrupt-context work
   // Opt-in observability (core/testbed wires it); null when disabled, and
   // every instrumentation site guards on that.
   telemetry::Telemetry* telemetry = nullptr;
   int tel_pid = 0;  // this host's trace pid
-  // Hierarchical timer wheel for protocol timers (RTO/delack/persist/
-  // TIME-WAIT): O(1) schedule/cancel regardless of how many connections are
-  // ticking. Null when the host doesn't provide one — timers then fall back
-  // to the simulator's binary heap.
-  sim::TimerWheel* wheel = nullptr;
   // Opt-in overload policy (core/testbed wires it): SYN admission, outboard-
   // descriptor gating, ECN marking. Null when disabled; every hook site
   // guards on that, so the datapath carries no policy when off.
@@ -241,8 +240,6 @@ class NetStack {
     return tw_index_.find(key);
   }
   void timewait_release(TimeWaitRecord* tw);  // cancel + unindex + freelist
-  // Arm a protocol-timer callback on the wheel when the host provides one.
-  sim::TimerHandle proto_timer(sim::Duration d, sim::SmallFn fn);
 
   HostEnv env_;
   RouteTable routes_;

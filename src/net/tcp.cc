@@ -56,7 +56,6 @@ TcpConnection::~TcpConnection() { teardown(); }
 void TcpConnection::teardown() {
   rexmt_timer_.cancel();
   delack_timer_.cancel();
-  timewait_timer_.cancel();
   drop_ooo_queue();
   if (bound_) {
     stack_.tcp_unbind(key_);
@@ -75,26 +74,13 @@ void TcpConnection::drop_ooo_queue() {
 }
 
 sim::TimerHandle TcpConnection::proto_timer(sim::Duration d, sim::SmallFn fn) {
-  auto& env = stack_.env();
-  if (par_.timer_wheel && env.wheel != nullptr) {
-    return env.wheel->schedule_after(d, std::move(fn));
-  }
-  return env.sim.timer_after(d, std::move(fn));
+  return stack_.env().wheel.schedule_after(d, std::move(fn));
 }
 
 void TcpConnection::enter_state(TcpState s) {
   if (state_ == s) return;
   state_ = s;
   if (s == TcpState::kEstablished) ever_established_ = true;
-  // Compact TIME-WAIT hands the 2*MSL obligation to the stack instead
-  // (TcpConnection::input converts after the final ACK goes out); only the
-  // classic mode keeps the whole connection alive under a timer.
-  if (s == TcpState::kTimeWait && !par_.compact_timewait) {
-    timewait_timer_ = proto_timer(2 * par_.msl, [this] {
-      enter_state(TcpState::kClosed);
-      teardown();
-    });
-  }
   state_cond_.notify_all();
   cb_->notify_state();
 }
@@ -327,7 +313,7 @@ sim::Task<void> TcpConnection::input(KernCtx ctx, Mbuf* pkt, const IpHeader& ih)
   // way; park the 2*MSL obligation as a ~32-byte stack record and free this
   // connection's buffers and demux slot right now. Late segments and tuple
   // recycling are handled by NetStack against the record.
-  if (state_ == TcpState::kTimeWait && par_.compact_timewait) {
+  if (state_ == TcpState::kTimeWait) {
     stack_.timewait_enter(key_, rcv_nxt_, snd_nxt_, 2 * par_.msl);
     enter_state(TcpState::kClosed);
     teardown();

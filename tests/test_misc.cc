@@ -1,30 +1,19 @@
-// Odds and ends: the trace gate, CPU account reset, netstat sections,
-// kernapp pattern helpers, and DirectWire/Testbed wiring invariants.
+// Odds and ends: CPU account reset, netstat sections, kernapp pattern
+// helpers, and the testbeds' fabric and routing wiring.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/multi_testbed.h"
 #include "core/netstat.h"
+#include "core/sharded_testbed.h"
 #include "core/testbed.h"
 #include "kernapp/kernel_socket.h"
-#include "sim/trace.h"
 #include "tests/test_util.h"
 
 namespace nectar {
 namespace {
-
-TEST(TraceGate, EnableDisable) {
-  using sim::Trace;
-  using sim::TraceCat;
-  Trace::disable_all();
-  EXPECT_FALSE(Trace::enabled(TraceCat::Tcp));
-  Trace::enable(TraceCat::Tcp);
-  EXPECT_TRUE(Trace::enabled(TraceCat::Tcp));
-  EXPECT_FALSE(Trace::enabled(TraceCat::Ip));
-  Trace::enable_all();
-  EXPECT_TRUE(Trace::enabled(TraceCat::Ip));
-  Trace::disable(TraceCat::Ip);
-  EXPECT_FALSE(Trace::enabled(TraceCat::Ip));
-  Trace::disable_all();
-}
 
 TEST(CpuAccounts, ResetZeroesEverything) {
   sim::Simulator simu;
@@ -57,30 +46,78 @@ TEST(Netstat, SectionsRenderOnFreshHost) {
   EXPECT_NE(core::netstat(h).find("fresh"), std::string::npos);
 }
 
+// What a testbed's fabric chain looks like from outside.
+struct ChainView {
+  std::vector<std::string> kinds;  // impairments(), outermost first
+  std::string fabric;  // what fabric() is: an impairment kind, or "bare"
+};
+
+template <class Bed>
+ChainView view_chain(Bed& tb, const hippi::Fabric* bare) {
+  ChainView v;
+  for (const hippi::ImpairedFabric* f : tb.impairments()) {
+    v.kinds.emplace_back(f->kind());
+    if (&tb.fabric() == f) v.fabric = f->kind();
+  }
+  if (&tb.fabric() == bare) v.fabric = "bare";
+  return v;
+}
+
+template <class Options>
+Options with_impairments(bool on) {
+  Options o;
+  if (on) {
+    o.loss_rate = 0.1;
+    o.reorder_rate = 0.1;
+    o.corrupt_rate = 0.1;
+    o.dup_rate = 0.1;
+    o.rate_limit_bps = 1e6;
+    o.partition_windows = {{sim::msec(1), sim::msec(2)}};
+  }
+  return o;
+}
+
 TEST(Testbed, FabricSelectionLayersCorrectly) {
-  {
-    core::Testbed plain;
-    EXPECT_EQ(&plain.fabric(), plain.wire.get());
+  struct Case {
+    const char* name;
+    ChainView (*build)(bool impaired);
+  };
+  const Case cases[] = {
+      {"Testbed",
+       [](bool on) {
+         core::Testbed tb(with_impairments<core::TestbedOptions>(on));
+         return view_chain(tb, tb.wire.get());
+       }},
+      {"MultiTestbed",
+       [](bool on) {
+         core::MultiTestbed tb(with_impairments<core::MultiTestbedOptions>(on));
+         return view_chain(tb, tb.sw.get());
+       }},
+      {"ShardedTestbed",
+       [](bool on) {
+         core::ShardedTestbed tb(
+             with_impairments<core::ShardedTestbedOptions>(on));
+         return view_chain(tb, tb.sw.get());
+       }},
+  };
+  const std::vector<std::string> outermost_first = {
+      "rate_limit", "partition", "loss", "dup", "reorder", "corrupt"};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ChainView on = c.build(true);
+    EXPECT_EQ(on.kinds, outermost_first);
+    EXPECT_EQ(on.fabric, "rate_limit");
+    const ChainView off = c.build(false);
+    EXPECT_TRUE(off.kinds.empty());
+    EXPECT_EQ(off.fabric, "bare");
   }
-  {
-    core::TestbedOptions o;
-    o.loss_rate = 0.1;
-    core::Testbed lossy(o);
-    EXPECT_EQ(&lossy.fabric(), lossy.lossy.get());
-  }
-  {
-    core::TestbedOptions o;
-    o.trace_packets = true;
-    o.loss_rate = 0.1;
-    core::Testbed both(o);
-    EXPECT_EQ(&both.fabric(), both.trace.get());  // trace outermost
-  }
-  {
-    core::TestbedOptions o;
-    o.use_switch = true;
-    core::Testbed sw(o);
-    EXPECT_EQ(&sw.fabric(), sw.sw.get());
-  }
+
+  // The packet trace wraps the whole chain.
+  core::TestbedOptions o;
+  o.trace_packets = true;
+  o.loss_rate = 0.1;
+  core::Testbed traced(o);
+  EXPECT_EQ(&traced.fabric(), traced.trace.get());
 }
 
 TEST(Testbed, HostsRouteToEachOther) {
