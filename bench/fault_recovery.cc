@@ -6,11 +6,11 @@
 // degraded-mode goodput curve (checksum-unit outage of increasing length)
 // against the healthy path.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_flags.h"
 #include "apps/ttcp.h"
 #include "core/netstat.h"
 #include "fault/fault.h"
@@ -87,20 +87,10 @@ RunOut run_one(const std::string& name, const FaultPlan& plan,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_fault_recovery.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_fault_recovery.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json});
+  const bool quick = quick_flag.on;
 
   const std::size_t total = quick ? 1024 * 1024 : 8 * 1024 * 1024;
 
@@ -223,12 +213,6 @@ int main(int argc, char** argv) {
   out.set("degraded_goodput_curve", std::move(curve));
   out.set("all_ok", all_ok);
 
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json, out)) return 1;
   return all_ok ? 0 : 1;
 }

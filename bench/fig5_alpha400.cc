@@ -2,26 +2,18 @@
 // read/write size on the Alpha 3000/400 — unmodified stack, modified
 // (single-copy) stack, and raw HIPPI.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench_flags.h"
 #include "apps/experiment.h"
 #include "core/json.h"
 
 int main(int argc, char** argv) {
   using namespace nectar;
-  bool quick = false;
-  bool json = false;
-  std::string json_path = "BENCH_fig5_alpha400.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_fig5_alpha400.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json});
+  const bool quick = quick_flag.on;
 
   const core::HostParams params = core::HostParams::alpha3000_400();
   std::vector<std::size_t> sizes;
@@ -62,7 +54,7 @@ int main(int argc, char** argv) {
                 last.eff_unmod > 0 ? last.eff_mod / last.eff_unmod : 0.0);
   }
 
-  if (json) {
+  if (json.on) {
     core::Json root = core::Json::object();
     root.set("bench", "fig5_alpha400");
     root.set("schema_version", 1);
@@ -86,11 +78,7 @@ int main(int argc, char** argv) {
     root.set("points", std::move(arr));
     root.set("crossover_lo_bytes", cross_lo);
     root.set("crossover_hi_bytes", cross_hi);
-    if (!core::write_json_file(json_path, root)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+    if (!bench::write_json(json, root)) return 1;
   }
   return 0;
 }

@@ -3,13 +3,15 @@
 // efficient single-copy stack yields *higher throughput*, not just lower
 // utilization.
 #include <cstdio>
-#include <cstring>
 
+#include "bench_flags.h"
 #include "apps/experiment.h"
 
 int main(int argc, char** argv) {
   using namespace nectar;
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  bench::Flag quick_flag{"--quick"};
+  bench::parse_flags(argc, argv, {&quick_flag});
+  const bool quick = quick_flag.on;
 
   const core::HostParams params = core::HostParams::alpha3000_300lx();
   std::vector<std::size_t> sizes;

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_flags.h"
 #include "apps/flow_matrix.h"
 #include "core/netstat.h"
 #include "core/sharded_testbed.h"
@@ -426,23 +427,11 @@ core::Json parallel_cell_json(std::size_t workers, const ParallelCell& c,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  bool churn_only = false;
-  std::string json_path = "BENCH_flow_scaling.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--churn-only") == 0) {
-      churn_only = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_flow_scaling.json"};
+  bench::Flag churn_only{"--churn-only"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json, &churn_only});
+  const bool quick = quick_flag.on;
 
   const std::vector<std::size_t> sweep =
       quick ? std::vector<std::size_t>{1, 8, 64}
@@ -497,15 +486,9 @@ int main(int argc, char** argv) {
     out.set("churn", churn_json(c));
   }
 
-  if (churn_only) {
+  if (churn_only.on) {
     out.set("all_ok", all_ok);
-    if (json) {
-      if (!core::write_json_file(json_path, out)) {
-        std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-        return 1;
-      }
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+    if (!bench::write_json(json, out)) return 1;
     return all_ok ? 0 : 1;
   }
 
@@ -616,12 +599,6 @@ int main(int argc, char** argv) {
   }
 
   out.set("all_ok", all_ok);
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json, out)) return 1;
   return all_ok ? 0 : 1;
 }

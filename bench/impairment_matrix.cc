@@ -3,11 +3,11 @@
 // path deliver byte-identical data, and exporting every counter as JSON
 // (BENCH_impairment_matrix.json) via the Netstat exporter.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_flags.h"
 #include "apps/ttcp.h"
 #include "core/netstat.h"
 #include "net/ip.h"
@@ -24,20 +24,10 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_impairment_matrix.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_impairment_matrix.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json});
+  const bool quick = quick_flag.on;
 
   const std::size_t total = quick ? 512 * 1024 : 4 * 1024 * 1024;
 
@@ -129,12 +119,6 @@ int main(int argc, char** argv) {
   out.set("cells", std::move(jcells));
   out.set("all_ok", all_ok);
 
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json, out)) return 1;
   return all_ok ? 0 : 1;
 }

@@ -9,10 +9,10 @@
 // and both the metrics document and the Chrome trace must match byte for
 // byte.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_flags.h"
 #include "apps/flow_matrix.h"
 #include "apps/ttcp.h"
 #include "fault/fault.h"
@@ -170,25 +170,11 @@ core::Json run_fault_recovery(std::size_t total, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_latency.json";
-  std::string trace_path;  // empty = no trace file
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = "BENCH_latency_trace.json";
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        trace_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_latency.json"};
+  bench::Flag trace{"--trace", "BENCH_latency_trace.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json, &trace});
+  const bool quick = quick_flag.on;
 
   const std::size_t total = quick ? 1024 * 1024 : 8 * 1024 * 1024;
   const std::size_t flows = quick ? 32 : 256;
@@ -235,23 +221,17 @@ int main(int argc, char** argv) {
   }
   out.set("all_ok", all_ok);
 
-  if (!trace_path.empty()) {
-    std::FILE* f = std::fopen(trace_path.c_str(), "w");
+  if (trace.on) {
+    std::FILE* f = std::fopen(trace.path, "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "failed to write %s\n", trace_path.c_str());
+      std::fprintf(stderr, "failed to write %s\n", trace.path);
       return 1;
     }
     std::fputs(single.trace_dump.c_str(), f);
     std::fputc('\n', f);
     std::fclose(f);
-    std::printf("wrote %s\n", trace_path.c_str());
+    std::printf("wrote %s\n", trace.path);
   }
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json, out)) return 1;
   return all_ok ? 0 : 1;
 }

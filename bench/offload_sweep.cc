@@ -14,10 +14,10 @@
 // (--json), schema_version 1.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_flags.h"
 #include "apps/ttcp.h"
 #include "core/json.h"
 #include "core/netstat.h"
@@ -100,20 +100,10 @@ core::Json cell_json(const Cell& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_offload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_offload.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json});
+  const bool quick = quick_flag.on;
 
   const std::size_t total = quick ? 4 * 1024 * 1024 : 32 * 1024 * 1024;
   const std::vector<std::size_t> mtus =
@@ -187,12 +177,6 @@ int main(int argc, char** argv) {
     std::printf("\nwarning: offload-on did not beat off in sim-Mb/s per "
                 "wall-s at MTU <= 4K on this run\n");
 
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json, out)) return 1;
   return all_ok ? 0 : 1;
 }

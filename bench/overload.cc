@@ -23,11 +23,11 @@
 // All cells are byte-exact under a fixed seed, so the committed JSON is
 // reproducible: regenerate with `overload --json BENCH_overload.json`.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench_flags.h"
 #include "core/netstat.h"
 #include "fault/fault.h"
 #include "overload/ops_console.h"
@@ -343,20 +343,10 @@ core::Json run_ecn_ab(bool quick, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_overload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_overload.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json});
+  const bool quick = quick_flag.on;
 
   bool all_ok = true;
   std::printf("Overload-survival bench (%s)\n", quick ? "quick" : "full");
@@ -392,12 +382,6 @@ int main(int argc, char** argv) {
   }
   out.set("all_ok", all_ok);
 
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json, out)) return 1;
   return all_ok ? 0 : 1;
 }

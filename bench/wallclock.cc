@@ -11,13 +11,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_flags.h"
 #include "apps/ttcp.h"
 #include "checksum/internet_checksum.h"
 #include "checksum/simd.h"
@@ -516,18 +516,10 @@ OverloadBenchResult bench_overload_hooks(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = false;
-  std::string json_path = "BENCH_wallclock.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_wallclock.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json});
+  const bool quick = quick_flag.on;
 
   const std::uint64_t ev_target = quick ? 200'000 : 2'000'000;
   const std::uint64_t mbuf_iters = quick ? 200'000 : 2'000'000;
@@ -596,7 +588,7 @@ int main(int argc, char** argv) {
   std::printf("overload on     : %7.1f ns/mark_ecn, %5.1f ns/admit_syn (3 samplers)\n",
               ovl.enabled_mark_ns, ovl.enabled_admit_ns);
 
-  if (json) {
+  if (json.on) {
     core::Json root = core::Json::object();
     root.set("bench", "wallclock");
     root.set("schema_version", 1);
@@ -670,11 +662,7 @@ int main(int argc, char** argv) {
     jovl.set("enabled_mark_ns", ovl.enabled_mark_ns);
     jovl.set("enabled_admit_ns", ovl.enabled_admit_ns);
     root.set("overload", std::move(jovl));
-    if (!core::write_json_file(json_path, root)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
+    if (!bench::write_json(json, root)) return 1;
   }
   return 0;
 }

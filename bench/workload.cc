@@ -17,9 +17,9 @@
 // All cells are byte-exact under a fixed seed, so the committed JSON is
 // reproducible: regenerate with `workload --json BENCH_workload.json`.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "bench_flags.h"
 #include "apps/ttcp.h"
 #include "core/netstat.h"
 #include "wload/population.h"
@@ -216,20 +216,10 @@ core::Json run_replay(bool quick, const std::string& pcap_path, bool* ok) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = true;
-  std::string json_path = "BENCH_workload.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      json = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-        json_path = argv[++i];
-    }
-  }
+  bench::Flag quick_flag{"--quick"};
+  bench::Flag json{"--json", "BENCH_workload.json"};
+  bench::parse_flags(argc, argv, {&quick_flag, &json});
+  const bool quick = quick_flag.on;
 
   bool all_ok = true;
   std::printf("Workload frontend bench (%s)\n", quick ? "quick" : "full");
@@ -249,7 +239,8 @@ int main(int argc, char** argv) {
   cells.push_back(run_flash(quick, &all_ok));
 
   std::printf("trace_replay:\n");
-  cells.push_back(run_replay(quick, json_path + ".pcap", &all_ok));
+  const std::string pcap_path = std::string(json.path) + ".pcap";
+  cells.push_back(run_replay(quick, pcap_path, &all_ok));
   out.set("scenarios", std::move(cells));
 
   // Same seed, fresh world: the steady cell — goodputs, every histogram
@@ -267,14 +258,8 @@ int main(int argc, char** argv) {
     out.set("determinism", std::move(jd));
   }
   out.set("all_ok", all_ok);
-  std::remove((json_path + ".pcap").c_str());
+  std::remove(pcap_path.c_str());
 
-  if (json) {
-    if (!core::write_json_file(json_path, out)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!bench::write_json(json, out)) return 1;
   return all_ok ? 0 : 1;
 }

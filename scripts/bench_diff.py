@@ -4,10 +4,12 @@
 usage: scripts/bench_diff.py OLD NEW
 
 The simulated results are deterministic, so every field must match exactly:
-a changed value, a key missing from or added in NEW, or a list whose length
-changed is a difference. Host-time fields (wall-clock speed, memory, thread
-count) vary from run to run and are skipped wherever they appear, by key
-name. Prints one line per difference and exits 1 if there is any.
+a changed value, a key missing from or added in NEW, a list whose length
+changed, or an object whose members come in a different order is a
+difference (member order is part of the byte-identity contract of the
+Netstat dumps). Host-time fields (wall-clock speed, memory, thread count)
+vary from run to run and are skipped wherever they appear, by key name.
+Prints one line per difference and exits 1 if there is any.
 """
 import json
 import sys
@@ -26,6 +28,10 @@ MAX_REPORTED = 40
 
 def diff(old, new, path, out):
     if isinstance(old, dict) and isinstance(new, dict):
+        old_order = [k for k in old if k not in HOST_TIME_KEYS]
+        new_order = [k for k in new if k not in HOST_TIME_KEYS]
+        if set(old_order) == set(new_order) and old_order != new_order:
+            out.append(f"{path}: member order {old_order} -> {new_order}")
         for key in sorted(old.keys() | new.keys()):
             if key in HOST_TIME_KEYS:
                 continue

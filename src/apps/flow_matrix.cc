@@ -39,15 +39,9 @@ struct FlowShared {
   sim::Time t_finished = 0;         // receiver
 };
 
-struct MatrixShared {
-  std::size_t remaining = 0;
-  bool all_done = false;
-};
-
 sim::Task<void> flow_receiver(sim::Simulator& sim, const FlowMatrixConfig& cfg,
                               std::size_t i, socket::Socket& sock,
-                              Host::Process& proc, FlowShared& fs,
-                              MatrixShared* ms) {
+                              Host::Process& proc, FlowShared& fs) {
   auto ctx = proc.ctx();
   sock.listen(static_cast<std::uint16_t>(cfg.port_base + i));
   const auto seed = cfg.pattern_seed + static_cast<std::uint32_t>(i);
@@ -75,7 +69,6 @@ sim::Task<void> flow_receiver(sim::Simulator& sim, const FlowMatrixConfig& cfg,
   }
   fs.t_finished = sim.now();
   fs.done = true;
-  if (ms != nullptr && --ms->remaining == 0) ms->all_done = true;
 }
 
 sim::Task<void> flow_sender(sim::Simulator& sim, const FlowMatrixConfig& cfg,
@@ -161,9 +154,13 @@ socket::SocketOptions socket_options(const FlowMatrixConfig& cfg) {
   return so;
 }
 
-}  // namespace
-
-FlowMatrixResult run_flow_matrix(MultiTestbed& tb, const FlowMatrixConfig& cfg) {
+// The body both testbeds share. Each coroutine runs on its host's
+// simulator: the one flat simulator, or the host's shard of the parallel
+// engine. `drive(all_done)` runs the testbed until all_done() or the
+// deadline, then lets teardown (FIN exchanges, in-flight DMAs) quiesce.
+template <class Bed, class Drive>
+FlowMatrixResult run_matrix(Bed& tb, const FlowMatrixConfig& cfg,
+                            const Drive& drive) {
   const std::size_t pairs = tb.num_pairs();
   const socket::SocketOptions so = socket_options(cfg);
 
@@ -179,8 +176,6 @@ FlowMatrixResult run_flow_matrix(MultiTestbed& tb, const FlowMatrixConfig& cfg) 
   std::vector<std::unique_ptr<socket::Socket>> tx(cfg.num_flows);
   std::vector<std::unique_ptr<socket::Socket>> rx(cfg.num_flows);
   std::vector<FlowShared> fs(cfg.num_flows);
-  MatrixShared ms;
-  ms.remaining = cfg.num_flows;
 
   for (std::size_t i = 0; i < cfg.num_flows; ++i) {
     const std::size_t p = i % pairs;
@@ -188,60 +183,40 @@ FlowMatrixResult run_flow_matrix(MultiTestbed& tb, const FlowMatrixConfig& cfg) 
                                              socket::Socket::Proto::kTcp, so);
     rx[i] = std::make_unique<socket::Socket>(tb.servers[p]->stack(),
                                              socket::Socket::Proto::kTcp, so);
-    sim::spawn(flow_receiver(tb.sim, cfg, i, *rx[i], *sprocs[p], fs[i], &ms));
-    sim::spawn(flow_sender(tb.sim, cfg, i, MultiTestbed::server_ip(p), *tx[i],
-                           *cprocs[p], fs[i]));
+    sim::spawn(flow_receiver(tb.servers[p]->sim(), cfg, i, *rx[i], *sprocs[p],
+                             fs[i]));
+    sim::spawn(flow_sender(tb.clients[p]->sim(), cfg, i, Bed::server_ip(p),
+                           *tx[i], *cprocs[p], fs[i]));
   }
 
-  tb.run_until_done(ms.all_done, tb.sim.now() + cfg.deadline);
-  // Let teardown (FIN exchanges, in-flight DMAs) quiesce.
-  tb.sim.run_until(tb.sim.now() + 5 * sim::kSecond);
+  // Completion is a scan of the per-flow done bits, not a shared countdown
+  // the receivers would all write: on the parallel engine they run on many
+  // shards. The scan resumes where the last call stopped, so the whole run
+  // does O(num_flows) work, not O(num_flows) per check.
+  std::size_t scanned = 0;
+  drive([&fs, &scanned, n = cfg.num_flows] {
+    while (scanned < n && fs[scanned].done) ++scanned;
+    return scanned == n;
+  });
 
   return collect_results(cfg, fs, tx, rx);
 }
 
+}  // namespace
+
+FlowMatrixResult run_flow_matrix(MultiTestbed& tb, const FlowMatrixConfig& cfg) {
+  return run_matrix(tb, cfg, [&](const auto& all_done) {
+    tb.run_until_done(all_done, tb.sim.now() + cfg.deadline);
+    tb.sim.run_until(tb.sim.now() + 5 * sim::kSecond);
+  });
+}
+
 FlowMatrixResult run_flow_matrix(ShardedTestbed& tb,
                                  const FlowMatrixConfig& cfg) {
-  const std::size_t pairs = tb.num_pairs();
-  const socket::SocketOptions so = socket_options(cfg);
-
-  std::vector<Host::Process*> cprocs(pairs), sprocs(pairs);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    cprocs[p] = &tb.clients[p]->create_process("fmx_tx");
-    sprocs[p] = &tb.servers[p]->create_process("fmx_rx");
-  }
-
-  std::vector<std::unique_ptr<socket::Socket>> tx(cfg.num_flows);
-  std::vector<std::unique_ptr<socket::Socket>> rx(cfg.num_flows);
-  std::vector<FlowShared> fs(cfg.num_flows);
-
-  for (std::size_t i = 0; i < cfg.num_flows; ++i) {
-    const std::size_t p = i % pairs;
-    tx[i] = std::make_unique<socket::Socket>(tb.clients[p]->stack(),
-                                             socket::Socket::Proto::kTcp, so);
-    rx[i] = std::make_unique<socket::Socket>(tb.servers[p]->stack(),
-                                             socket::Socket::Proto::kTcp, so);
-    // No MatrixShared: the receivers run on many shards, so completion is a
-    // coordinator-side scan of the per-flow done bits instead of a shared
-    // countdown they would all have to write.
-    sim::spawn(flow_receiver(tb.servers[p]->sim(), cfg, i, *rx[i], *sprocs[p],
-                             fs[i], nullptr));
-    sim::spawn(flow_sender(tb.clients[p]->sim(), cfg, i,
-                           ShardedTestbed::server_ip(p), *tx[i], *cprocs[p],
-                           fs[i]));
-  }
-
-  // Monotone scan hint: each call resumes where the last one stopped, so the
-  // whole run does O(num_flows) work across all epochs, not per epoch.
-  std::size_t scanned = 0;
-  const auto all_done = [&fs, &scanned, n = cfg.num_flows] {
-    while (scanned < n && fs[scanned].done) ++scanned;
-    return scanned == n;
-  };
-  tb.run_until_done(all_done, tb.engine.now() + cfg.deadline);
-  tb.quiesce(5 * sim::kSecond);
-
-  return collect_results(cfg, fs, tx, rx);
+  return run_matrix(tb, cfg, [&](const auto& all_done) {
+    tb.run_until_done(all_done, tb.engine.now() + cfg.deadline);
+    tb.quiesce(5 * sim::kSecond);
+  });
 }
 
 }  // namespace nectar::apps

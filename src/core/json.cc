@@ -211,6 +211,44 @@ struct Parser {
   }
 };
 
+// The member of `prev` that pairs with member `i`, named `key`, of the
+// walked object: the one at the same position if its name matches (the
+// usual case: two documents of one shape), else the one of that name.
+const Json* member_in(const Json* prev, std::size_t i, const std::string& key) {
+  if (prev == nullptr || !prev->is_object()) return nullptr;
+  const Json::Object& m = prev->members();
+  if (i < m.size() && m[i].first == key) return &m[i].second;
+  return prev->find(key);
+}
+
+void walk_scalars(const Json& v, const Json* prev, std::string& path,
+                  const ScalarVisitor& fn) {
+  const std::size_t len = path.size();
+  if (v.is_array()) {
+    const bool paired = prev != nullptr && prev->is_array();
+    for (std::size_t i = 0; i < v.items().size(); ++i) {
+      path += '[' + std::to_string(i) + ']';
+      walk_scalars(v.items()[i],
+                   paired && i < prev->items().size() ? &prev->items()[i]
+                                                      : nullptr,
+                   path, fn);
+      path.resize(len);
+    }
+  } else if (v.is_object()) {
+    for (std::size_t i = 0; i < v.members().size(); ++i) {
+      const auto& [key, member] = v.members()[i];
+      if (len != 0) path += '.';
+      path += key;
+      walk_scalars(member, member_in(prev, i, key), path, fn);
+      path.resize(len);
+    }
+  } else {
+    const bool scalar =
+        prev != nullptr && !prev->is_array() && !prev->is_object();
+    fn(path, v, scalar ? prev : nullptr);
+  }
+}
+
 }  // namespace
 
 Json& Json::set(std::string_view key, Json value) {
@@ -309,6 +347,12 @@ bool write_json_file(const std::string& path, const Json& j) {
   if (!out) return false;
   out << j.dump(2) << '\n';
   return out.good();
+}
+
+void for_each_scalar(const Json& doc, const Json* prev,
+                     const ScalarVisitor& fn) {
+  std::string path;
+  walk_scalars(doc, prev, path, fn);
 }
 
 }  // namespace nectar::core

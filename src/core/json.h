@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -88,5 +89,15 @@ class Json {
 // Write `j.dump(2)` (plus trailing newline) to `path`; returns false on I/O
 // failure.
 bool write_json_file(const std::string& path, const Json& j);
+
+// Calls fn(path, value, before) for every scalar (null, bool, number or
+// string) of `doc`, depth first in document order. `path` joins member names
+// with '.' and array elements as [i], for example
+// "interfaces[0].cab.tx_rewrite". `before` is the scalar at the same path in
+// `prev`, or nullptr when `prev` is null or holds no scalar there.
+using ScalarVisitor = std::function<void(
+    const std::string& path, const Json& value, const Json* before)>;
+void for_each_scalar(const Json& doc, const Json* prev,
+                     const ScalarVisitor& fn);
 
 }  // namespace nectar::core

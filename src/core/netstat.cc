@@ -16,144 +16,6 @@ std::string ip_str(net::IpAddr a) {
 }
 }  // namespace
 
-std::string netstat_interfaces(Host& host) {
-  std::ostringstream os;
-  os << "Interfaces:\n";
-  for (net::Ifnet* ifp : host.stack().ifnets()) {
-    const auto& s = ifp->if_stats;
-    os << "  " << ifp->name() << " (" << ip_str(ifp->addr()) << ", mtu "
-       << ifp->mtu() << (ifp->single_copy() ? ", single-copy" : "") << ")\n"
-       << "    out: " << s.opackets << " pkts / " << s.obytes << " bytes, "
-       << s.oerrors << " errors, " << s.uio_converted << " UIO conversions\n"
-       << "    in:  " << s.ipackets << " pkts / " << s.ibytes << " bytes\n";
-    if (auto* cab = dynamic_cast<drivers::CabDriver*>(ifp)) {
-      auto& dev = cab->device();
-      const auto& sd = dev.sdma().stats();
-      const auto& mr = dev.mdma_recv().stats();
-      os << "    cab: sdma " << sd.requests << " reqs ("
-         << sd.bytes_to_cab << " B out, " << sd.bytes_from_cab << " B in, busy "
-         << sim::to_seconds(sd.busy_time) << " s), tx "
-         << cab->drv_stats.tx_fresh << " fresh + " << cab->drv_stats.tx_rewrite
-         << " header-rewrite, rx " << mr.packets << " pkts ("
-         << cab->drv_stats.rx_small << " auto-DMA, " << cab->drv_stats.rx_wcab
-         << " outboard), " << mr.drops_no_memory << " drops, nm "
-         << dev.nm().live_packets() << " live / " << dev.nm().free_bytes()
-         << " B free\n";
-    }
-  }
-  return os.str();
-}
-
-std::string netstat_protocols(Host& host) {
-  std::ostringstream os;
-  const auto& ip = host.stack().ip().stats();
-  os << "IP: " << ip.ipackets << " in, " << ip.opackets << " out, "
-     << ip.ofragments << " fragments sent, " << ip.reassembled << " reassembled, "
-     << ip.forwarded << " forwarded, " << ip.bad_checksum << " bad csum, "
-     << ip.no_route << " unroutable, " << ip.frag_timeouts << " reasm timeouts\n";
-  // Aggregate over live connections: zombies unbind on close, so finished
-  // transfers drop out of this line (per-connection detail is in to_json).
-  net::TcpConnection::Stats tcp{};
-  for (const auto& [key, tp] : host.stack().tcp_connections()) {
-    const auto& s = tp->stats();
-    tcp.segs_out += s.segs_out;
-    tcp.segs_in += s.segs_in;
-    tcp.rexmt_segs += s.rexmt_segs;
-    tcp.dup_acks += s.dup_acks;
-    tcp.dup_segs_in += s.dup_segs_in;
-    tcp.ooo_segs += s.ooo_segs;
-    tcp.bad_checksum += s.bad_checksum;
-  }
-  os << "TCP: " << tcp.segs_in << " segs in, " << tcp.segs_out << " segs out, "
-     << tcp.rexmt_segs << " rexmt, " << tcp.dup_acks << " dup acks, "
-     << tcp.dup_segs_in << " dup segs, " << tcp.ooo_segs << " ooo, "
-     << tcp.bad_checksum << " bad csum\n";
-  const auto& udp = host.stack().udp().stats();
-  os << "UDP: " << udp.in_datagrams << " in, " << udp.out_datagrams << " out, "
-     << udp.bad_checksum << " bad csum, " << udp.no_port << " no port ("
-     << udp.hw_csum_tx << " hw / " << udp.sw_csum_tx << " sw / " << udp.nocsum_tx
-     << " none csum tx)\n";
-  const auto& st = host.stack().stats();
-  os << "demux: " << st.tcp_in << " tcp, " << st.udp_in << " udp, " << st.raw_in
-     << " raw, " << st.no_port << " no-port, " << st.no_proto << " no-proto, "
-     << st.bad_checksum << " bad csum, " << st.listen_overflows
-     << " listen overflows, " << st.eph_port_exhausted
-     << " eph-port exhausted\n";
-  const auto& dm = host.stack().tcp_demux();
-  os << "  table: " << dm.size() << " live / " << dm.buckets() << " buckets ("
-     << dm.num_shards() << " shards), " << dm.tombstones() << " tombstones, "
-     << dm.stats().lookups << " lookups (" << dm.stats().hits
-     << " hits), max probe " << dm.stats().max_probe << "\n";
-  os << "  cookies: " << st.syn_cookies_sent << " sent, "
-     << st.syn_cookies_accepted << " accepted, " << st.syn_cookies_rejected
-     << " rejected, " << st.syn_cookie_overflows << " overflow\n";
-  if (auto* ovl = host.overload()) {
-    const auto& ov = ovl->stats();
-    os << "  overload: " << (ovl->overloaded() ? "OVERLOADED" : "ok") << ", "
-       << ov.syn_deferred << " SYNs deferred, " << ov.sc_deferred
-       << " copies forced, " << ov.ecn_marked << " ECN marks";
-    for (std::size_t r = 0; r < overload::kNumResources; ++r) {
-      const auto rr = static_cast<overload::Resource>(r);
-      os << ", " << overload::resource_name(rr) << ' '
-         << static_cast<int>(ovl->occupancy(rr) * 100.0) << '%'
-         << (ovl->overloaded(rr) ? "!" : "");
-    }
-    os << "\n";
-  }
-  os << "  timewait: " << host.stack().timewait_count() << " live compact, "
-     << st.timewait_enters << " enters, " << st.timewait_acks << " acks, "
-     << st.timewait_recycles << " recycles, " << st.timewait_expiries
-     << " expiries; " << host.stack().zombie_count() << " zombies\n";
-  const auto& tw = host.timer_wheel();
-  os << "  timer wheel: " << tw.pending() << " pending (peak "
-     << tw.stats().max_pending << "), " << tw.stats().scheduled << " scheduled, "
-     << tw.stats().fired << " fired, " << tw.stats().cancelled << " cancelled, "
-     << tw.stats().cascaded << " cascaded, " << tw.stats().alarms << " alarms\n";
-  return os.str();
-}
-
-std::string netstat_memory(Host& host) {
-  std::ostringstream os;
-  const auto& m = host.pool().stats();
-  os << "mbufs: " << m.allocs << " allocs / " << m.frees << " frees ("
-     << host.pool().in_use() << " live), " << m.cluster_allocs << " clusters, "
-     << m.uio_allocs << " M_UIO, " << m.wcab_allocs << " M_WCAB\n"
-     << "  pool: " << m.freelist_hits << " node hits, "
-     << m.cluster_freelist_hits << " cluster hits, high water "
-     << m.high_water << "\n";
-  const auto& v = host.vm().stats();
-  os << "vm: " << v.pin_ops << " pins (" << v.pages_pinned << " pages), "
-     << v.unpin_ops << " unpins, " << v.map_ops << " maps; "
-     << host.vm().pinned_pages() << " pages pinned now\n";
-  const auto& pc = host.pin_cache().stats();
-  os << "pin cache: " << pc.page_hits << " hits / " << pc.page_misses
-     << " misses / " << pc.evictions << " evictions ("
-     << host.pin_cache().resident_pages() << " resident)\n";
-  return os.str();
-}
-
-std::string netstat_cpu(Host& host) {
-  std::ostringstream os;
-  os << "CPU accounts (busy time):\n";
-  for (std::size_t i = 0; i < host.cpu().num_accounts(); ++i) {
-    os << "  " << host.cpu().account_name(i) << ": "
-       << sim::to_seconds(host.cpu().busy(i)) << " s\n";
-  }
-  os << "  total busy: " << sim::to_seconds(host.cpu().total_busy()) << " s of "
-     << sim::to_seconds(host.sim().now()) << " s\n";
-  return os.str();
-}
-
-std::string netstat(Host& host) {
-  std::ostringstream os;
-  os << "=== " << host.name() << " (" << host.params().model << ") ===\n"
-     << netstat_interfaces(host) << netstat_protocols(host)
-     << netstat_memory(host) << netstat_cpu(host);
-  return os.str();
-}
-
-// --- JSON exporter ----------------------------------------------------------
-
 Json tcp_stats_json(const net::TcpConnection::Stats& s) {
   Json j = Json::object();
   j.set("segs_out", s.segs_out);
@@ -490,9 +352,7 @@ Json Netstat::json() const {
       e.set("occupancy", ovl->occupancy(rr));
       e.set("enters", os.enters[r]);
       e.set("exits", os.exits[r]);
-      const auto& wm = r == 0   ? ovl->config().arb
-                       : r == 1 ? ovl->config().nm
-                                : ovl->config().mbuf;
+      const auto& wm = ovl->watermark(r);
       e.set("high", wm.high);
       e.set("low", wm.low);
       jres.push_back(std::move(e));
@@ -579,6 +439,19 @@ Json Netstat::json() const {
   root.set("cpu", std::move(jcpu));
 
   return root;
+}
+
+std::string netstat(Host& host) {
+  std::string out;
+  for_each_scalar(Netstat(host).json(), nullptr,
+                  [&out](const std::string& path, const Json& value,
+                         const Json*) {
+                    out += path;
+                    out += ' ';
+                    out += value.dump();
+                    out += '\n';
+                  });
+  return out;
 }
 
 }  // namespace nectar::core

@@ -1,7 +1,8 @@
-// netstat-style reporting: formatted dumps of a host's stack, device, and
-// memory statistics for interactive debugging, plus a machine-readable JSON
-// exporter (Netstat::to_json) used by the bench binaries and the
-// determinism-regression tests.
+// netstat-style reporting. Netstat::json() is the one place a host's
+// counters are listed; every other view is derived from that document:
+// netstat() prints it as text, and the ops console diffs it tick to tick.
+// The exporters below it cover what a live host does not hold (Stats
+// snapshots, fault injectors, impairments, the parallel engine).
 #pragma once
 
 #include <string>
@@ -16,21 +17,12 @@
 
 namespace nectar::core {
 
-// Full report: interfaces, IP, UDP, mbuf pool, VM, CPU accounts, and (for
-// CAB interfaces) the adaptor engines.
-[[nodiscard]] std::string netstat(Host& host);
-
-// Single sections.
-[[nodiscard]] std::string netstat_interfaces(Host& host);
-[[nodiscard]] std::string netstat_protocols(Host& host);
-[[nodiscard]] std::string netstat_memory(Host& host);
-[[nodiscard]] std::string netstat_cpu(Host& host);
-
-// Machine-readable counterpart of netstat(): one JSON object per host with
-// every counter the text report shows, plus per-connection TCP statistics
-// (retransmits, dup ACKs, out-of-order segments, checksum drops, ...).
-// Object-member order is fixed, so two identical runs dump identical text —
-// the determinism regression tests compare these dumps byte-for-byte.
+// One JSON object per host: interfaces (with the CAB engines, arbiters,
+// fault, recovery and offload state), IP, UDP, demux, overload, timer wheel,
+// per-connection TCP statistics, mbufs, event core, VM, pin cache and CPU
+// accounts. Object-member order is fixed, so two identical runs dump
+// identical text — the determinism regression tests compare these dumps
+// byte-for-byte.
 class Netstat {
  public:
   explicit Netstat(Host& host) : host_(host) {}
@@ -43,6 +35,10 @@ class Netstat {
  private:
   Host& host_;
 };
+
+// The text report: Netstat::json() as one "path value" line per scalar
+// field, in document order, e.g. `interfaces[0].cab.tx_rewrite 192`.
+[[nodiscard]] std::string netstat(Host& host);
 
 // One JSON object for a TCP connection's counters (shared by Netstat and the
 // ttcp-based benches, which hold Stats snapshots rather than live hosts).

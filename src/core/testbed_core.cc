@@ -44,14 +44,6 @@ std::vector<hippi::ImpairedFabric*> ImpairmentChain::impairments() const {
   return {layers_.rbegin(), layers_.rend()};
 }
 
-bool FlatSim::run_until_done(const bool& done, sim::Time deadline) {
-  while (!done && sim.now() < deadline) {
-    if (!sim.step()) break;
-    if (sim.now() > deadline) break;
-  }
-  return done;
-}
-
 HostParams PairPlan::pair_params(HostParams params, cab::ArbPolicy arb) {
   params.cab.sdma.arb = arb;
   params.cab.mdma.arb = arb;

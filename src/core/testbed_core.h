@@ -73,9 +73,20 @@ class ImpairmentChain {
 struct FlatSim {
   sim::Simulator sim;
 
-  // Drive the simulator until `done` is true or `deadline` passes. Returns
-  // whether `done` fired.
-  bool run_until_done(const bool& done, sim::Time deadline);
+  // Drive the simulator until `done()` is true or `deadline` passes.
+  // Returns whether `done()` fired.
+  template <class Done>
+  bool run_until_done(const Done& done, sim::Time deadline) {
+    while (!done() && sim.now() < deadline) {
+      if (!sim.step()) break;
+      if (sim.now() > deadline) break;
+    }
+    return done();
+  }
+  // The same, for a flag that an event sets.
+  bool run_until_done(const bool& done, sim::Time deadline) {
+    return run_until_done([&done] { return done; }, deadline);
+  }
 };
 
 // Client i is 10.1.x.y and server i is 10.2.x.y (x.y = i + 1); each routes

@@ -305,8 +305,7 @@ sim::Task<void> NetStack::transport_input(KernCtx ctx, std::uint8_t proto,
         // ACK field must be charged to the checksum, not "rejected cookie".
         const bool pure_ack = (th.flags & kTcpAck) != 0 &&
                               (th.flags & (kTcpSyn | kTcpRst)) == 0;
-        if (syn_cookies_ && pure_ack &&
-            listen_service_exists(ih.dst, th.dst_port)) {
+        if (pure_ack && listen_service_exists(ih.dst, th.dst_port)) {
           if (!demux_checksum_ok(pkt, ih)) {
             ++stats_.bad_checksum;
             env_.pool.free_chain(pkt);
@@ -363,28 +362,24 @@ sim::Task<void> NetStack::transport_input(KernCtx ctx, std::uint8_t proto,
         } else if ((th.flags & kTcpSyn) != 0 && (th.flags & kTcpAck) == 0 &&
                    listen_service_exists(ih.dst, th.dst_port)) {
           // A clean SYN for a live listen service whose embryonic-socket
-          // backlog is empty: the accept path is overflowing.
+          // backlog is empty: the accept path is overflowing. Answer
+          // statelessly: the cookie ISS remembers the handshake so this
+          // stack doesn't have to. MSS defaults to the classic 536 when the
+          // SYN carried none.
           ++stats_.listen_overflows;
-          if (syn_cookies_) {
-            // Answer statelessly: the cookie ISS remembers the handshake so
-            // this stack doesn't have to. MSS defaults to the classic 536
-            // when the SYN carried none.
-            ++stats_.syn_cookies_sent;
-            const std::uint16_t peer_mss = th.mss != 0 ? th.mss : 536;
-            const std::uint32_t cookie =
-                cookie_jar_.encode(ih.dst, th.dst_port, ih.src, th.src_port,
-                                   peer_mss, env_.sim.now());
-            const std::uint32_t ack = th.seq + 1;
-            const std::uint16_t mss_echo =
-                SynCookieJar::kMssTable[SynCookieJar::mss_class(peer_mss)];
-            env_.pool.free_chain(pkt);
-            co_await tcp_respond(ctx, ih.dst, ih.src, th.dst_port, th.src_port,
-                                 cookie, ack, kTcpSyn | kTcpAck,
-                                 /*win=*/0xffff, mss_echo);
-            co_return;
-          }
-          // Without cookies the client's SYN retransmission recovers once
-          // the backlog is re-armed.
+          ++stats_.syn_cookies_sent;
+          const std::uint16_t peer_mss = th.mss != 0 ? th.mss : 536;
+          const std::uint32_t cookie =
+              cookie_jar_.encode(ih.dst, th.dst_port, ih.src, th.src_port,
+                                 peer_mss, env_.sim.now());
+          const std::uint32_t ack = th.seq + 1;
+          const std::uint16_t mss_echo =
+              SynCookieJar::kMssTable[SynCookieJar::mss_class(peer_mss)];
+          env_.pool.free_chain(pkt);
+          co_await tcp_respond(ctx, ih.dst, ih.src, th.dst_port, th.src_port,
+                               cookie, ack, kTcpSyn | kTcpAck,
+                               /*win=*/0xffff, mss_echo);
+          co_return;
         } else {
           ++stats_.no_port;
         }

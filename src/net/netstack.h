@@ -151,15 +151,6 @@ class NetStack {
                       std::uint32_t snd_nxt, sim::Duration linger);
   [[nodiscard]] std::size_t timewait_count() const noexcept { return tw_live_; }
 
-  // --- SYN cookies ----------------------------------------------------------
-
-  // When the embryonic backlog for a live listen service is exhausted, a
-  // clean SYN is answered with a stateless cookie SYN|ACK instead of being
-  // dropped; the handshake-completing ACK reconstructs the connection. On by
-  // default; the baseline benches switch it off.
-  void set_syn_cookies(bool on) noexcept { syn_cookies_ = on; }
-  [[nodiscard]] bool syn_cookies() const noexcept { return syn_cookies_; }
-
   // Keep an orphaned TCP connection alive while protocol coroutines still in
   // flight may hold pointers to it (§5's asynchronous DMA makes this
   // unavoidable; kernels refcount PCBs). A linger timer reaps the zombie
@@ -258,8 +249,11 @@ class NetStack {
   std::vector<std::uint32_t> tw_free_;
   ShardedConnTable<ConnKey, TimeWaitRecord*> tw_index_;
   std::size_t tw_live_ = 0;
+  // SYN cookies: when the embryonic backlog for a live listen service is
+  // exhausted, a clean SYN is answered with a stateless cookie SYN|ACK
+  // instead of being dropped; the handshake-completing ACK reconstructs the
+  // connection.
   SynCookieJar cookie_jar_;
-  bool syn_cookies_ = true;
   // Per-port count of live full-tuple bindings (ephemeral allocator).
   std::vector<std::uint32_t> lport_use_ = std::vector<std::uint32_t>(65536, 0);
   std::uint16_t next_ephemeral_ = 10000;

@@ -72,13 +72,6 @@ struct TcpParams {
   sim::Duration rto_max = 30 * sim::kSecond;
   sim::Duration rto_init = sim::kSecond;
   sim::Duration msl = sim::kSecond;  // short TIME_WAIT keeps sims fast
-  bool fast_retransmit = true;
-  // Nagle-style coalescing of small writes. Applies only to copied (regular
-  // mbuf) data: descriptor (M_UIO) data is packetized symbolically per
-  // descriptor and sent immediately — the measured single-copy stack "does
-  // not coalesce the M_UIO mbufs generated by multiple writes into a single
-  // packet" (§7.1).
-  bool nagle = true;
   // Use outboard checksumming when the interface supports it. The
   // "unmodified stack" baseline turns this off: it treats the CAB as a dumb
   // device and runs the classic software checksum on both sides.

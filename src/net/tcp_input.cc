@@ -244,7 +244,7 @@ sim::Task<void> TcpConnection::process_ack(KernCtx ctx, const TcpHeader& th) {
     if (th.ack == snd_una_ && snd_una_ != snd_max_ && wnd == snd_wnd_) {
       ++stats_.dup_acks;
       ++dupacks_;
-      if (par_.fast_retransmit && dupacks_ == 3) {
+      if (dupacks_ == 3) {
         ++stats_.fast_rexmt;
         ssthresh_ = std::max<std::uint32_t>(2u * mss_, (snd_max_ - snd_una_) / 2);
         cwnd_ = ssthresh_ + 3u * mss_;

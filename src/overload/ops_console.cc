@@ -1,10 +1,9 @@
 #include "overload/ops_console.h"
 
-#include <algorithm>
 #include <ostream>
 #include <sstream>
 
-#include "drivers/cab_driver.h"
+#include "core/netstat.h"
 
 namespace nectar::core {
 
@@ -14,7 +13,38 @@ std::uint64_t delta(std::uint64_t now, std::uint64_t prev) {
   return now >= prev ? now - prev : 0;
 }
 
+// The table's state column: "ok", or "OVERLOAD" and each resource over its
+// watermark.
+std::string overload_state(const Json& netstat) {
+  const Json* jo = netstat.find("overload");
+  if (jo == nullptr || !jo->find("overloaded")->as_bool()) return "ok";
+  std::string state = "OVERLOAD";
+  for (const auto& jr : jo->find("resources")->items()) {
+    if (jr.find("over")->as_bool()) {
+      state += ' ' + jr.find("resource")->as_string();
+    }
+  }
+  return state;
+}
+
 }  // namespace
+
+Json moved_fields(const Json& prev, const Json& now) {
+  Json out = Json::object();
+  for_each_scalar(now, &prev, [&out](const std::string& path, const Json& v,
+                                     const Json* p) {
+    if (v.type() == Json::Type::kInt) {
+      const std::int64_t d = v.as_int() - (p != nullptr ? p->as_int() : 0);
+      if (d != 0) out.set(path, d);
+    } else if (v.type() == Json::Type::kDouble) {
+      const double d = v.as_double() - (p != nullptr ? p->as_double() : 0.0);
+      if (d != 0.0) out.set(path, d);
+    } else if (p == nullptr || p->dump() != v.dump()) {
+      out.set(path, v);
+    }
+  });
+  return out;
+}
 
 OpsConsole::OpsConsole(sim::Simulator& sim, OpsConsoleOptions opts)
     : sim_(sim), opts_(opts) {}
@@ -76,99 +106,47 @@ Json OpsConsole::host_record(Watched& w) {
   w.prev_classes = std::move(now);
   rec.set("classes", std::move(classes));
 
-  // Admission / backpressure decisions and watermark state.
-  if (auto* ovl = h.overload()) {
-    ovl->poll();  // refresh occupancies even if no hook fired this tick
-    const auto& s = ovl->stats();
-    Json jo = Json::object();
-    jo.set("overloaded", ovl->overloaded());
-    jo.set("syn_deferred",
-           static_cast<std::int64_t>(delta(s.syn_deferred, w.prev_ovl.syn_deferred)));
-    jo.set("sc_deferred",
-           static_cast<std::int64_t>(delta(s.sc_deferred, w.prev_ovl.sc_deferred)));
-    jo.set("ecn_marked",
-           static_cast<std::int64_t>(delta(s.ecn_marked, w.prev_ovl.ecn_marked)));
-    Json res = Json::array();
-    for (std::size_t r = 0; r < overload::kNumResources; ++r) {
-      const auto rr = static_cast<overload::Resource>(r);
-      Json jr = Json::object();
-      jr.set("resource", overload::resource_name(rr));
-      jr.set("over", ovl->overloaded(rr));
-      jr.set("occupancy", ovl->occupancy(rr));
-      jr.set("enters", static_cast<std::int64_t>(delta(s.enters[r],
-                                                       w.prev_ovl.enters[r])));
-      jr.set("exits",
-             static_cast<std::int64_t>(delta(s.exits[r], w.prev_ovl.exits[r])));
-      res.push_back(std::move(jr));
-    }
-    jo.set("resources", std::move(res));
-    rec.set("overload", std::move(jo));
-    w.prev_ovl = s;
+  // Netstat's counters, gauges and states, as their changes since the last
+  // tick. The poll refreshes watermark occupancies even if no hook fired.
+  if (auto* ovl = h.overload()) ovl->poll();
+  const Json doc = Netstat(h).json();
+  Json netstat = Json::object();
+  for (const auto& [key, value] : doc.members()) {
+    if (key != "tcp") netstat.set(key, value);
   }
-
-  // Listen-side deferrals counted by the stack's SYN gate.
-  const std::uint64_t syn_def = h.stack().stats().syn_admission_deferred;
-  rec.set("syn_admission_deferred",
-          static_cast<std::int64_t>(delta(syn_def, w.prev_syn_deferred)));
-  w.prev_syn_deferred = syn_def;
-
-  // Recovery events (adaptor resets) across the host's CABs.
-  std::uint64_t resets = 0;
-  for (net::Ifnet* ifp : h.stack().ifnets()) {
-    if (auto* cab = dynamic_cast<drivers::CabDriver*>(ifp)) {
-      resets += cab->rec_stats.resets;
-    }
-  }
-  rec.set("recovery_resets",
-          static_cast<std::int64_t>(delta(resets, w.prev_resets)));
-  w.prev_resets = resets;
+  rec.set("netstat", moved_fields(w.prev_netstat, netstat));
+  w.prev_netstat = std::move(netstat);
   return rec;
 }
 
 void OpsConsole::tick() {
   ++ticks_;
-  Json record = Json::object();
-  record.set("tick", static_cast<std::int64_t>(ticks_));
-  record.set("t_us", sim::to_usec(sim_.now()));
-  Json hosts = Json::array();
-  for (auto& w : watched_) hosts.push_back(host_record(w));
-  record.set("hosts", std::move(hosts));
-  lines_.push_back(record.dump(0));
-
   // Text table: one row per (host, class) plus a status column.
   std::ostringstream os;
   os << "ops console @ " << sim::to_usec(sim_.now()) << " us (tick " << ticks_
      << ")\n";
   os << "  host           cls conns  segs_out   bytes_out  state\n";
-  const Json parsed = Json::parse(lines_.back());
-  for (const auto& jh : parsed.find("hosts")->items()) {
-    std::string state = "ok";
-    if (const Json* jo = jh.find("overload")) {
-      if (jo->find("overloaded")->as_bool()) {
-        state = "OVERLOAD";
-        for (const auto& jr : jo->find("resources")->items()) {
-          if (jr.find("over")->as_bool()) {
-            state += ' ';
-            state += jr.find("resource")->as_string();
-          }
-        }
-      }
+  Json hosts = Json::array();
+  for (auto& w : watched_) {
+    Json rec = host_record(w);
+    std::string name = w.host->name();
+    if (name.size() < 15) name.resize(15, ' ');
+    const std::string state = overload_state(w.prev_netstat);
+    for (const auto& jc : rec.find("classes")->items()) {
+      os << "  " << name << jc.find("weight")->as_int() << "   "
+         << jc.find("conns")->as_int() << "   " << jc.find("segs_out")->as_int()
+         << "   " << jc.find("bytes_out")->as_int() << "  " << state << "\n";
     }
-    for (const auto& jc : jh.find("classes")->items()) {
-      os << "  " << jh.find("host")->as_string();
-      for (std::size_t n = jh.find("host")->as_string().size(); n < 15; ++n)
-        os << ' ';
-      os << jc.find("weight")->as_int() << "   " << jc.find("conns")->as_int()
-         << "   " << jc.find("segs_out")->as_int() << "   "
-         << jc.find("bytes_out")->as_int() << "  " << state << "\n";
+    if (rec.find("classes")->items().empty()) {
+      os << "  " << name << "-   -   -   -  " << state << "\n";
     }
-    if (jh.find("classes")->items().empty()) {
-      os << "  " << jh.find("host")->as_string();
-      for (std::size_t n = jh.find("host")->as_string().size(); n < 15; ++n)
-        os << ' ';
-      os << "-   -   -   -  " << state << "\n";
-    }
+    hosts.push_back(std::move(rec));
   }
+  Json record = Json::object();
+  record.set("tick", static_cast<std::int64_t>(ticks_));
+  record.set("t_us", sim::to_usec(sim_.now()));
+  record.set("hosts", std::move(hosts));
+  lines_.push_back(record.dump(0));
   last_table_ = os.str();
   if (opts_.out != nullptr) *opts_.out << last_table_;
 }

@@ -1,16 +1,20 @@
 // OpsConsole: a live operations view of hosts under overload.
 //
 // Watches any number of Hosts and, on a periodic simulated-time tick, emits
-// one record per tick with per-host deltas since the previous tick:
-//   * per-class goodput (live TCP connections grouped by arbitration weight),
-//   * overload-manager decisions (SYN deferrals, copy-path fallbacks, ECN
-//     marks) and per-resource watermark state/occupancy,
-//   * CAB recovery events (adaptor resets).
+// one record per tick with per-host changes since the previous tick:
+//   * per-class goodput: live TCP connections grouped by arbitration
+//     weight, a grouping Netstat does not have;
+//   * every Netstat field that moved (moved_fields), by path. Netstat's
+//     per-connection `tcp` array is left out: its rows come and go with
+//     connections, and the class rows already cover them.
+// Each tick first polls the host's OverloadManager, if it has one, so the
+// watermark state is fresh even when no decision hook fired, then reads
+// Netstat. The first record reports totals since t = 0.
+//
 // Each record is captured twice: as a compact JSON line (machine tail -f)
 // and, when a stream is supplied, as a human-readable text table — the two
 // formats an operator console actually needs.
 //
-// Deltas are computed from cumulative counters snapshotted per tick.
 // Connections that retire between ticks take their counters with them, so a
 // per-class delta can appear negative; it is clamped to zero (the retired
 // bytes were reported while the connection lived).
@@ -26,6 +30,12 @@
 #include "core/json.h"
 
 namespace nectar::core {
+
+// The console's change rule: the scalar fields of `now` that differ from
+// `prev`, as one object keyed by path in `now`'s document order. A number
+// maps to its change (a field `prev` lacks counts as 0), a boolean or
+// string to its new value. Fields only `prev` has are left out.
+[[nodiscard]] Json moved_fields(const Json& prev, const Json& now);
 
 struct OpsConsoleOptions {
   sim::Duration period = sim::msec(10.0);
@@ -66,9 +76,7 @@ class OpsConsole {
   struct Watched {
     Host* host = nullptr;
     std::map<std::uint32_t, ClassCounters> prev_classes;  // by arb weight
-    overload::OverloadManager::Stats prev_ovl;
-    std::uint64_t prev_resets = 0;
-    std::uint64_t prev_syn_deferred = 0;
+    Json prev_netstat = Json::object();  // without `tcp`
   };
 
   void arm();

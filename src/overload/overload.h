@@ -117,12 +117,12 @@ class OverloadManager {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const OverloadConfig& config() const noexcept { return cfg_; }
-
- private:
+  // The watermark of resource `r` (indexed by Resource).
   [[nodiscard]] const Watermark& watermark(std::size_t r) const noexcept {
     return r == 0 ? cfg_.arb : r == 1 ? cfg_.nm : cfg_.mbuf;
   }
 
+ private:
   OverloadConfig cfg_;
   std::array<std::vector<Sampler>, kNumResources> samplers_;
   std::array<bool, kNumResources> over_{};

@@ -170,10 +170,6 @@ core::Json Telemetry::metrics_json() const {
   }
   root.set("flow_metrics", std::move(fm));
 
-  core::Json ctrs = core::Json::object();
-  for (const auto& [name, v] : counters_) ctrs.set(name, v);
-  root.set("counters", std::move(ctrs));
-
   core::Json hs = core::Json::object();
   for (const auto& [name, h] : hists_) hs.set(name, h.to_json());
   root.set("histograms", std::move(hs));
@@ -207,7 +203,6 @@ core::Json Telemetry::merged_metrics_json(
   std::uint64_t open = 0, completed = 0, orphan_ends = 0, re_begins = 0,
                 dropped = 0, trace_events = 0;
   LogHistogram stages[kStageCount];
-  std::map<std::string, std::uint64_t> counters;
   std::map<std::string, LogHistogram> hists;
   std::map<std::string, FlowMetric> flow_metrics;
 
@@ -224,7 +219,6 @@ core::Json Telemetry::merged_metrics_json(
     trace_events += t.events_.size();
     for (std::size_t i = 0; i < kStageCount; ++i)
       stages[i].merge(t.stage_hist_[i]);
-    for (const auto& [name, v] : t.counters_) counters[name] += v;
     for (const auto& [name, h] : t.hists_) hists[name].merge(h);
     for (const auto& [name, m] : t.flow_metrics_) {
       FlowMetric& dst = flow_metrics[name];
@@ -285,10 +279,6 @@ core::Json Telemetry::merged_metrics_json(
     fm.set(name, std::move(e));
   }
   root.set("flow_metrics", std::move(fm));
-
-  core::Json ctrs = core::Json::object();
-  for (const auto& [name, v] : counters) ctrs.set(name, v);
-  root.set("counters", std::move(ctrs));
 
   core::Json hs = core::Json::object();
   for (const auto& [name, h] : hists) hs.set(name, h.to_json());

@@ -7,8 +7,9 @@
 //    packet's residence in one datapath stage. Ends feed per-stage
 //    LogHistograms; begin/end events accumulate in a bounded log exported as
 //    Chrome trace-event JSON ("b"/"e" async events, loadable in Perfetto).
-//  * Metrics — named counters and LogHistograms, including per-flow series
-//    (record_flow updates an aggregate and a per-flow histogram).
+//  * Metrics — named LogHistograms, including per-flow series (record_flow
+//    updates an aggregate and a per-flow histogram). Stack counters live in
+//    core::Netstat, not here.
 //  * Gauges — named closures sampled on a sim-time ticker into time series;
 //    exported both as JSON arrays and as Chrome "C" counter tracks.
 //
@@ -86,11 +87,6 @@ class Telemetry {
   void set_max_events(std::size_t n) noexcept { max_events_ = n; }
 
   // --- metrics -------------------------------------------------------------
-  // Named counter; the returned pointer is stable — hot paths look it up
-  // once and bump through it.
-  [[nodiscard]] std::uint64_t* counter(const std::string& name) {
-    return &counters_[name];
-  }
   [[nodiscard]] LogHistogram& histogram(const std::string& name) {
     return hists_[name];
   }
@@ -116,12 +112,12 @@ class Telemetry {
   // "M" process_name metadata, "b"/"e" async span events (ts in us), and
   // "C" counter events per gauge sample.
   [[nodiscard]] core::Json chrome_trace_json() const;
-  // Metrics document: per-stage span histograms, flow metrics, counters,
-  // named histograms, gauge time series, span bookkeeping.
+  // Metrics document: per-stage span histograms, flow metrics, named
+  // histograms, gauge time series, span bookkeeping.
   [[nodiscard]] core::Json metrics_json() const;
   // Combine per-shard registries (in shard order) into one document with the
-  // same shape as metrics_json: counters summed, histograms and flow metrics
-  // merged, gauge series concatenated, plus a "shards" array of per-registry
+  // same shape as metrics_json: histograms and flow metrics merged, gauge
+  // series concatenated, plus a "shards" array of per-registry
   // span bookkeeping. Deterministic: depends only on registry contents and
   // order, never on the worker schedule that produced them. Spans that cross
   // a shard boundary (a segment sent from one host's registry and received
@@ -129,12 +125,6 @@ class Telemetry {
   // so the oracle comparison still holds bit-for-bit.
   [[nodiscard]] static core::Json merged_metrics_json(
       const std::vector<const Telemetry*>& shards);
-  bool write_chrome_trace(const std::string& path) const {
-    return core::write_json_file(path, chrome_trace_json());
-  }
-  bool write_metrics(const std::string& path) const {
-    return core::write_json_file(path, metrics_json());
-  }
 
  private:
   struct TraceEvent {
@@ -186,7 +176,6 @@ class Telemetry {
   std::vector<TraceEvent> events_;
   std::size_t max_events_ = 1u << 20;
 
-  std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, LogHistogram> hists_;
   std::map<std::string, FlowMetric> flow_metrics_;
 

@@ -44,6 +44,10 @@ struct ReorderCase {
   std::uint64_t seed;
 };
 
+void PrintTo(const ReorderCase& c, std::ostream* os) {
+  *os << "rate=" << c.rate << " hold_ms=" << c.hold_ms << " seed=" << c.seed;
+}
+
 class TcpReorder : public ::testing::TestWithParam<ReorderCase> {};
 
 TEST_P(TcpReorder, OutOfOrderSegmentsReassemble) {

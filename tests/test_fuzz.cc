@@ -115,6 +115,11 @@ struct LossCase {
   socket::CopyPolicy policy;
 };
 
+void PrintTo(const LossCase& c, std::ostream* os) {
+  *os << "rate=" << c.rate << " seed=" << c.seed
+      << " policy=" << static_cast<int>(c.policy);
+}
+
 class TcpLossSweep : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(TcpLossSweep, TransfersIntactUnderLoss) {

@@ -245,6 +245,11 @@ struct ImpairCase {
   std::uint64_t seed;
 };
 
+void PrintTo(const ImpairCase& c, std::ostream* os) {
+  *os << "name=" << c.name << " loss=" << c.loss << " reorder=" << c.reorder
+      << " corrupt=" << c.corrupt << " dup=" << c.dup << " seed=" << c.seed;
+}
+
 class OffloadImpairment : public ::testing::TestWithParam<ImpairCase> {};
 
 TEST_P(OffloadImpairment, StreamsMatchNonCoalescingStack) {

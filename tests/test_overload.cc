@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "apps/ttcp.h"
 #include "cab/arbiter.h"
 #include "core/netstat.h"
 #include "core/testbed.h"
@@ -479,14 +481,61 @@ TEST(OpsConsole, StreamsDeltasAndWatermarkState) {
     for (const auto& jh : j.find("hosts")->items()) {
       for (const auto& jc : jh.find("classes")->items())
         bytes_seen += jc.find("bytes_out")->as_int();
-      if (const core::Json* jo = jh.find("overload"))
-        marks_seen += jo->find("ecn_marked")->as_int();
+      if (const core::Json* marks =
+              jh.find("netstat")->find("overload.ecn_marked"))
+        marks_seen += marks->as_int();
     }
   }
   EXPECT_GT(bytes_seen, 0);
   EXPECT_GT(marks_seen, 0);
   EXPECT_FALSE(console.last_table().empty());
   EXPECT_NE(console.last_table().find("ops console"), std::string::npos);
+}
+
+TEST(OpsConsole, MovedFieldsAreChangesBetweenDocuments) {
+  Testbed tb(overloaded_opts(/*admission=*/false, /*ecn=*/true));
+  core::Json before;
+  tb.sim.after(sim::msec(2.0), [&] { before = core::Netstat(*tb.a).json(); });
+  apps::TtcpConfig cfg;
+  cfg.total_bytes = 1024 * 1024;
+  ASSERT_TRUE(apps::run_ttcp(tb, cfg).completed);
+  ASSERT_TRUE(before.is_object());
+  const core::Json after = core::Netstat(*tb.a).json();
+  const core::Json moved = core::moved_fields(before, after);
+
+  // Check against the earlier document looked up by path, not paired by
+  // position as moved_fields() pairs them.
+  std::map<std::string, core::Json> was;
+  core::for_each_scalar(before, nullptr,
+                        [&](const std::string& path, const core::Json& v,
+                            const core::Json*) { was[path] = v; });
+  std::size_t unchanged = 0;
+  core::for_each_scalar(after, nullptr, [&](const std::string& path,
+                                            const core::Json& now,
+                                            const core::Json*) {
+    const auto it = was.find(path);
+    const core::Json* prev = it != was.end() ? &it->second : nullptr;
+    const core::Json* change = moved.find(path);
+    if (prev != nullptr && prev->dump() == now.dump()) {
+      EXPECT_EQ(change, nullptr) << path;
+      ++unchanged;
+    } else if (now.type() == core::Json::Type::kInt) {
+      EXPECT_EQ((prev != nullptr ? prev->as_int() : 0) +
+                    (change != nullptr ? change->as_int() : 0),
+                now.as_int())
+          << path;
+    } else if (now.type() == core::Json::Type::kDouble) {
+      EXPECT_DOUBLE_EQ((prev != nullptr ? prev->as_double() : 0.0) +
+                           (change != nullptr ? change->as_double() : 0.0),
+                       now.as_double())
+          << path;
+    } else {
+      ASSERT_NE(change, nullptr) << path;
+      EXPECT_EQ(change->dump(), now.dump()) << path;
+    }
+  });
+  EXPECT_GT(unchanged, 0u);
+  EXPECT_GT(moved.members().size(), 0u);
 }
 
 // --------------------------------------------------------------- reporting

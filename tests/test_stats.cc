@@ -3,6 +3,10 @@
 // machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "apps/ttcp.h"
 #include "apps/util_soaker.h"
 #include "core/netstat.h"
@@ -253,6 +257,24 @@ TEST(Json, SetOverwritesInPlace) {
   EXPECT_EQ(obj.find("a")->as_int(), 3);
 }
 
+TEST(Json, ForEachScalarPairsFieldsByPath) {
+  // `before` has the members in another order, a shorter array, and an
+  // object where `now` has a scalar; an empty object yields no field.
+  const core::Json before =
+      core::Json::parse(R"({"b": {"c": 2}, "a": [1], "d": {"e": 5}})");
+  const core::Json now =
+      core::Json::parse(R"({"a": [1, "x"], "b": {"c": 3}, "d": 4, "f": {}})");
+  std::vector<std::string> seen;
+  core::for_each_scalar(now, &before,
+                        [&](const std::string& path, const core::Json& v,
+                            const core::Json* p) {
+                          seen.push_back(path + '=' + v.dump() + '/' +
+                                         (p != nullptr ? p->dump() : "-"));
+                        });
+  EXPECT_EQ(seen, (std::vector<std::string>{"a[0]=1/1", "a[1]=\"x\"/-",
+                                            "b.c=3/2", "d=4/-"}));
+}
+
 TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(core::Json::parse(""), std::runtime_error);
   EXPECT_THROW(core::Json::parse("{"), std::runtime_error);
@@ -317,11 +339,20 @@ TEST(NetstatJson, TextReportStillCoversAllSections) {
   cfg.total_bytes = 16 * 1024;
   const auto r = apps::run_ttcp(tb, cfg);
   ASSERT_TRUE(r.completed);
-  const std::string text = core::netstat(*tb.a);
-  for (const char* needle : {"Interfaces:", "IP:", "TCP:", "UDP:", "demux:",
-                             "mbufs:", "vm:", "pin cache:", "total busy"}) {
-    EXPECT_NE(text.find(needle), std::string::npos) << needle;
-  }
+  // The text is derived from the JSON: one "path value" line per scalar.
+  const std::string text = "\n" + core::netstat(*tb.a);
+  std::size_t fields = 0;
+  core::for_each_scalar(
+      core::Netstat(*tb.a).json(), nullptr,
+      [&](const std::string& path, const core::Json& value, const core::Json*) {
+        ++fields;
+        EXPECT_NE(text.find('\n' + path + ' ' + value.dump() + '\n'),
+                  std::string::npos)
+            << path;
+      });
+  EXPECT_GT(fields, 200u);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')),
+            fields + 1);
 }
 
 }  // namespace
