@@ -23,6 +23,10 @@ double jain_index(const std::vector<double>& xs) {
 
 namespace {
 
+constexpr std::size_t kRecvSize = 128 * 1024;
+constexpr std::uint16_t kPortBase = 5001;
+constexpr std::uint32_t kPatternSeed = 7;
+
 // Sender-side fields are written only by the sender coroutine and
 // receiver-side fields only by the receiver. On the sharded engine those run
 // on different threads, so they must stay disjoint members (distinct memory
@@ -43,15 +47,15 @@ sim::Task<void> flow_receiver(sim::Simulator& sim, const FlowMatrixConfig& cfg,
                               std::size_t i, socket::Socket& sock,
                               Host::Process& proc, FlowShared& fs) {
   auto ctx = proc.ctx();
-  sock.listen(static_cast<std::uint16_t>(cfg.port_base + i));
-  const auto seed = cfg.pattern_seed + static_cast<std::uint32_t>(i);
+  sock.listen(static_cast<std::uint16_t>(kPortBase + i));
+  const auto seed = kPatternSeed + static_cast<std::uint32_t>(i);
   if (!co_await sock.accept(ctx)) {
     fs.rx_failed = true;
   } else {
-    mem::UserBuffer buf(proc.as, cfg.recv_size + 8, 0);
+    mem::UserBuffer buf(proc.as, kRecvSize + 8, 0);
     std::uint64_t pos = 0;
     while (pos < cfg.bytes_per_flow) {
-      const std::size_t n = co_await sock.recv(ctx, buf.as_uio(0, cfg.recv_size));
+      const std::size_t n = co_await sock.recv(ctx, buf.as_uio(0, kRecvSize));
       if (n == 0) break;
       if (cfg.verify_data) {
         // Each sender loops over one pattern-filled write buffer, so stream
@@ -81,7 +85,7 @@ sim::Task<void> flow_sender(sim::Simulator& sim, const FlowMatrixConfig& cfg,
   if (i > 0 && cfg.start_spacing > 0)
     co_await sim::delay(sim, static_cast<sim::Duration>(i) * cfg.start_spacing);
   if (!co_await sock.connect(ctx, dst,
-                             static_cast<std::uint16_t>(cfg.port_base + i))) {
+                             static_cast<std::uint16_t>(kPortBase + i))) {
     fs.tx_failed = true;
     co_return;  // the paired receiver observes the failed accept
   }
@@ -89,7 +93,7 @@ sim::Task<void> flow_sender(sim::Simulator& sim, const FlowMatrixConfig& cfg,
   fs.t_established = sim.now();
 
   mem::UserBuffer buf(proc.as, cfg.write_size + 8, 0);
-  buf.fill_pattern(cfg.pattern_seed + static_cast<std::uint32_t>(i));
+  buf.fill_pattern(kPatternSeed + static_cast<std::uint32_t>(i));
 
   std::uint64_t sent = 0;
   while (sent < cfg.bytes_per_flow) {
@@ -146,14 +150,6 @@ FlowMatrixResult collect_results(
   return r;
 }
 
-socket::SocketOptions socket_options(const FlowMatrixConfig& cfg) {
-  socket::SocketOptions so;
-  so.policy = cfg.policy;
-  so.single_copy_threshold = cfg.single_copy_threshold;
-  so.tcp = cfg.tcp;
-  return so;
-}
-
 // The body both testbeds share. Each coroutine runs on its host's
 // simulator: the one flat simulator, or the host's shard of the parallel
 // engine. `drive(all_done)` runs the testbed until all_done() or the
@@ -162,7 +158,9 @@ template <class Bed, class Drive>
 FlowMatrixResult run_matrix(Bed& tb, const FlowMatrixConfig& cfg,
                             const Drive& drive) {
   const std::size_t pairs = tb.num_pairs();
-  const socket::SocketOptions so = socket_options(cfg);
+  // Every flow's socket runs the defaults: kAuto copy policy, the 16 KiB
+  // single-copy threshold and the default TcpParams.
+  const socket::SocketOptions so{};
 
   // One sender process per client host and one receiver process per server
   // host; flows on the same host share it (the paper's per-process CPU

@@ -2,7 +2,7 @@
 // client/server pairs driven through one MultiTestbed in a single
 // deterministic simulation.
 //
-// Flow i runs client(i mod P) -> server(i mod P) on port port_base + i, so
+// Flow i runs client(i mod P) -> server(i mod P) on port 5001 + i, so
 // every flow has its own connection (its own demux tuple, its own flow id in
 // the CAB arbiter) while P host pairs' worth of CABs carry all N of them.
 // Starts are staggered by a fixed spacing — determinism comes from the event
@@ -21,13 +21,7 @@ struct FlowMatrixConfig {
   std::size_t num_flows = 2;
   std::uint64_t bytes_per_flow = 1 << 20;
   std::size_t write_size = 64 * 1024;
-  std::size_t recv_size = 128 * 1024;
-  socket::CopyPolicy policy = socket::CopyPolicy::kAuto;
-  std::size_t single_copy_threshold = 16 * 1024;
-  std::uint16_t port_base = 5001;
   bool verify_data = false;     // pattern-check every received byte
-  std::uint32_t pattern_seed = 7;
-  net::TcpParams tcp;
   sim::Duration start_spacing = sim::usec(10);  // staggered connects
   sim::Duration deadline = 600 * sim::kSecond;
 };

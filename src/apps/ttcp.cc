@@ -8,6 +8,9 @@ using core::Testbed;
 
 namespace {
 
+constexpr std::uint16_t kPort = 5001;  // the classic ttcp port
+constexpr std::uint32_t kPatternSeed = 7;
+
 struct Shared {
   bool established = false;
   bool done = false;
@@ -20,7 +23,7 @@ struct Shared {
 sim::Task<void> receiver(Testbed& tb, const TtcpConfig& cfg, socket::Socket& sock,
                          Host::Process& proc, Shared& sh) {
   auto ctx = proc.ctx();
-  sock.listen(cfg.port);
+  sock.listen(kPort);
   if (!co_await sock.accept(ctx)) {
     sh.failed = true;
     sh.done = true;
@@ -39,7 +42,7 @@ sim::Task<void> receiver(Testbed& tb, const TtcpConfig& cfg, socket::Socket& soc
       auto v = buf.view();
       for (std::size_t i = 0; i < n; ++i) {
         const auto expect = mem::UserBuffer::pattern_byte(
-            cfg.pattern_seed, (pos + i) % cfg.write_size);
+            kPatternSeed, (pos + i) % cfg.write_size);
         if (v[i] != expect) ++sh.data_errors;
       }
     }
@@ -55,7 +58,7 @@ sim::Task<void> receiver(Testbed& tb, const TtcpConfig& cfg, socket::Socket& soc
 sim::Task<void> sender(Testbed& tb, const TtcpConfig& cfg, socket::Socket& sock,
                        Host::Process& proc, Shared& sh) {
   auto ctx = proc.ctx();
-  if (!co_await sock.connect(ctx, cfg.server_addr, cfg.port)) {
+  if (!co_await sock.connect(ctx, cfg.server_addr, kPort)) {
     sh.failed = true;
     sh.done = true;
     co_return;
@@ -66,7 +69,7 @@ sim::Task<void> sender(Testbed& tb, const TtcpConfig& cfg, socket::Socket& sock,
 
   mem::UserBuffer buf(proc.as, cfg.write_size + cfg.src_misalign + 8,
                       cfg.src_misalign);
-  buf.fill_pattern(cfg.pattern_seed);
+  buf.fill_pattern(kPatternSeed);
 
   std::uint64_t sent = 0;
   while (sent < cfg.total_bytes) {

@@ -12,10 +12,8 @@ struct TtcpConfig {
   std::size_t total_bytes = 16 * 1024 * 1024;
   socket::CopyPolicy policy = socket::CopyPolicy::kAuto;
   std::size_t single_copy_threshold = 16 * 1024;
-  std::uint16_t port = 5001;
   net::IpAddr server_addr = core::Testbed::kIpB;  // route selects the device
   bool verify_data = false;       // pattern-check every received byte
-  std::uint32_t pattern_seed = 7;
   std::size_t src_misalign = 0;   // §4.5 alignment experiments
   std::size_t dst_misalign = 0;
   net::TcpParams tcp;             // window size etc.

@@ -77,8 +77,6 @@ class ArbQueue {
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  // Flows with at least one queued request right now.
-  [[nodiscard]] std::size_t flows_queued() const noexcept { return flows_.size(); }
 
   void push(R r) {
     const std::uint32_t flow = r.flow;

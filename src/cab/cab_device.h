@@ -17,9 +17,11 @@
 
 namespace nectar::cab {
 
+// Network-memory page size: the unit the driver allocates packet buffers in.
+inline constexpr std::size_t kCabPageSize = 4096;
+
 struct CabConfig {
   std::size_t memory_bytes = 4u << 20;  // 4 MB network memory
-  std::size_t page_size = 4096;
   SdmaConfig sdma;
   MdmaConfig mdma;
 };
@@ -29,7 +31,7 @@ class CabDevice final : public mbuf::OutboardOwner {
   CabDevice(sim::Simulator& sim, hippi::Fabric& fabric, hippi::Addr addr,
             const CabConfig& cfg)
       : addr_(addr),
-        nm_(cfg.memory_bytes, cfg.page_size),
+        nm_(cfg.memory_bytes, kCabPageSize),
         sdma_(sim, nm_, cfg.sdma),
         mdma_xmit_(sim, nm_, fabric, cfg.mdma),
         mdma_recv_(sim, nm_, sdma_, cfg.mdma) {

@@ -69,7 +69,9 @@ struct SdmaRequest {
 };
 
 struct SdmaConfig {
-  double bandwidth_bps = 18.75e6;       // effective TURBOchannel payload rate
+  // Effective TURBOchannel payload rate: the microcode-limited ~150 Mbit/s,
+  // "less than half" of the 300 Mbit/s design point (§7.1).
+  double bandwidth_bps = 18.75e6;
   sim::Duration setup = sim::usec(20);  // per-request engine overhead
   std::size_t queue_depth = 64;
   ArbPolicy arb = ArbPolicy::kFifo;     // service discipline across flows

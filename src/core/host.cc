@@ -8,7 +8,6 @@ Host::Host(sim::Simulator& sim, HostParams params, std::string name)
       sim_(sim),
       cpu_(sim, params_.cpu_scale),
       pool_(sim),
-      kernel_as_(name_ + ".kernel"),
       vm_(sim, cpu_, params_.vm),
       pin_cache_(vm_, params_.pin_cache_pages),
       intr_acct_(cpu_.make_account("intr")),
@@ -60,10 +59,6 @@ Host::Process& Host::create_process(const std::string& pname) {
                                       cpu_.make_account(pname + ".sys")});
   if (tel_ != nullptr) register_cpu_gauges(tel_accts_done_);
   return *processes_.back();
-}
-
-sim::Duration Host::comm_busy(const Process& p) const {
-  return cpu_.busy(p.user_acct) + cpu_.busy(p.sys_acct) + cpu_.busy(intr_acct_);
 }
 
 void Host::register_cpu_gauges(sim::AccountId first) {

@@ -31,7 +31,6 @@ class Host {
   [[nodiscard]] mem::Vm& vm() noexcept { return vm_; }
   [[nodiscard]] mem::PinCache& pin_cache() noexcept { return pin_cache_; }
   [[nodiscard]] net::NetStack& stack() noexcept { return *stack_; }
-  [[nodiscard]] mem::AddressSpace& kernel_as() noexcept { return kernel_as_; }
   [[nodiscard]] sim::AccountId intr_acct() const noexcept { return intr_acct_; }
   [[nodiscard]] sim::TimerWheel& timer_wheel() noexcept { return wheel_; }
 
@@ -56,9 +55,6 @@ class Host {
 
   // --- measurement -----------------------------------------------------------
 
-  // Total CPU time charged to communication on behalf of `p` plus all
-  // interrupt-context work — the paper's numerator (ttcp user+sys + util sys).
-  [[nodiscard]] sim::Duration comm_busy(const Process& p) const;
   [[nodiscard]] sim::Duration total_busy() const { return cpu_.total_busy(); }
 
   // --- telemetry -------------------------------------------------------------
@@ -90,7 +86,6 @@ class Host {
   sim::Simulator& sim_;
   sim::Cpu cpu_;
   mbuf::MbufPool pool_;
-  mem::AddressSpace kernel_as_;
   mem::Vm vm_;
   mem::PinCache pin_cache_;
   sim::AccountId intr_acct_;

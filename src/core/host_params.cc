@@ -3,44 +3,12 @@
 namespace nectar::core {
 
 HostParams HostParams::alpha3000_400() {
+  // The StackCosts, VmCosts (Table 2), CabConfig and pin-cache defaults are
+  // this machine's calibration; only the SDMA command queue is deeper than
+  // a bare CabConfig's.
   HostParams p;
   p.model = "DEC Alpha 3000/400";
-  p.cpu_scale = 1.0;
-
-  // §7.3 per-byte costs.
-  p.costs.copy_bw_bps = 350.0e6 / 8.0;   // 350 Mbit/s cold copy
-  p.costs.cksum_bw_bps = 630.0e6 / 8.0;  // 630 Mbit/s checksum read
-
-  // Per-op decomposition summing to ~300 us per 32 KB packet on the sender
-  // (tcp_output + ip_output + driver ~180, ACK processing ~55 amortized at
-  // one ACK per two segments, write-path ~70 per 32 KB write).
-  p.costs.syscall_us = 40.0;
-  p.costs.sosend_chunk_us = 30.0;
-  p.costs.soreceive_chunk_us = 30.0;
-  p.costs.tcp_output_us = 85.0;
-  p.costs.tcp_input_us = 90.0;
-  p.costs.tcp_ack_us = 70.0;
-  p.costs.ip_output_us = 30.0;
-  p.costs.ip_input_us = 25.0;
-  p.costs.udp_output_us = 60.0;
-  p.costs.udp_input_us = 60.0;
-  p.costs.driver_issue_us = 65.0;
-  p.costs.intr_us = 40.0;
-  p.costs.wakeup_us = 15.0;
-
-  // Table 2.
-  p.vm = mem::VmCosts{};
-
-  // Microcode-limited TURBOchannel: ~150 Mbit/s effective payload rate
-  // ("less than half" of the 300 Mbit/s design point, §7.1).
-  p.cab.memory_bytes = 4u << 20;
-  p.cab.sdma.bandwidth_bps = 18.75e6;
-  p.cab.sdma.setup = sim::usec(20);
   p.cab.sdma.queue_depth = 128;
-  p.cab.mdma.line_rate_bps = 100.0e6;  // HIPPI: 100 MByte/s
-  p.cab.mdma.setup = sim::usec(10);
-
-  p.pin_cache_pages = 0;  // eager unpin; the §4.4.1 cache is the ablation
   return p;
 }
 

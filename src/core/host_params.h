@@ -4,7 +4,7 @@
 //   * memory-memory copy of cold data:     350 Mbit/s
 //   * checksum read pass (512 KB region):  630 Mbit/s
 //   * per-packet protocol overhead:        ~300 us  (decomposed across the
-//     StackCosts fields; see host_params.cc)
+//     StackCosts fields; see net/ifnet.h)
 //   * pin/unpin/map:                       Table 2
 // The adaptor-side bandwidth models the microcode-limited TURBOchannel
 // transfer the paper identifies as the throughput bottleneck (§7.1: the CAB

@@ -21,15 +21,11 @@
 
 namespace nectar::core {
 
-struct MultiTestbedOptions : ImpairmentSpec {
+struct MultiTestbedOptions : ImpairmentSpec, TelemetrySpec {
   std::size_t num_pairs = 4;  // client/server host pairs on the switch
   HostParams params = HostParams::alpha3000_400();
   // DMA service discipline for every CAB (overrides params.cab.*.arb).
   cab::ArbPolicy arb = cab::ArbPolicy::kFifo;
-  // Opt-in observability: one shared telemetry::Telemetry registry across all
-  // hosts (every client/server is its own trace process).
-  bool telemetry = false;
-  sim::Duration telemetry_tick = sim::usec(100.0);
   // Overload-survival subsystem (admission control + ECN backpressure): one
   // OverloadManager per host — pressure on one host must not mark or defer
   // another host's traffic.

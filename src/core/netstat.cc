@@ -223,8 +223,7 @@ Json Netstat::json() const {
         const auto& of = cab->off_stats;
         Json jo = Json::object();
         jo.set("tso_max", static_cast<std::uint64_t>(cab->offload_config().tso_max));
-        jo.set("gro_budget",
-               static_cast<std::uint64_t>(cab->offload_config().gro_budget));
+        jo.set("gro_budget", static_cast<std::uint64_t>(drivers::kGroBudget));
         jo.set("tx_super_segs", of.tx_super_segs);
         jo.set("tx_wire_segs", of.tx_wire_segs);
         jo.set("tx_tso_bytes", of.tx_tso_bytes);
@@ -297,8 +296,7 @@ Json Netstat::json() const {
   jd.set("timewait_live", static_cast<std::uint64_t>(host.stack().timewait_count()));
   jd.set("zombies", static_cast<std::uint64_t>(host.stack().zombie_count()));
   // Connection hash-table internals: probe behaviour tells whether the O(1)
-  // demux claim held up under this run's churn. Aggregates first, then the
-  // per-shard breakdown (shard order is fixed by the hash, so deterministic).
+  // demux claim held up under this run's churn.
   const auto& dm = host.stack().tcp_demux();
   Json jt = Json::object();
   jt.set("live", static_cast<std::uint64_t>(dm.size()));
@@ -313,20 +311,6 @@ Json Netstat::json() const {
   jt.set("erases", dm.stats().erases);
   jt.set("grows", dm.stats().grows);
   jt.set("rehashes", dm.stats().rehashes);
-  Json jshards = Json::array();
-  for (std::size_t i = 0; i < dm.num_shards(); ++i) {
-    const auto& sh = dm.shard(i);
-    Json e = Json::object();
-    e.set("live", static_cast<std::uint64_t>(sh.size()));
-    e.set("buckets", static_cast<std::uint64_t>(sh.buckets()));
-    e.set("tombstones", static_cast<std::uint64_t>(sh.tombstones()));
-    e.set("lookups", sh.stats().lookups);
-    e.set("probe_steps", sh.stats().probe_steps);
-    e.set("max_probe", sh.stats().max_probe);
-    e.set("grows", sh.stats().grows);
-    jshards.push_back(std::move(e));
-  }
-  jt.set("shards", std::move(jshards));
   jd.set("table", std::move(jt));
   root.set("demux", std::move(jd));
 

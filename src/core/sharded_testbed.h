@@ -32,7 +32,7 @@
 
 namespace nectar::core {
 
-struct ShardedTestbedOptions : ImpairmentSpec {
+struct ShardedTestbedOptions : ImpairmentSpec, TelemetrySpec {
   std::size_t num_pairs = 4;   // client/server host pairs on the switch
   std::size_t workers = 1;     // worker threads for the engine
   std::uint64_t seed = 1;      // roots the per-shard RNG streams
@@ -40,10 +40,6 @@ struct ShardedTestbedOptions : ImpairmentSpec {
   sim::Duration wire_hop = sim::usec(1.0);
   HostParams params = HostParams::alpha3000_400();
   cab::ArbPolicy arb = cab::ArbPolicy::kFifo;
-  // Opt-in observability: one telemetry registry PER SHARD (a registry binds
-  // to one Simulator); telemetry::merged_metrics_json combines them.
-  bool telemetry = false;
-  sim::Duration telemetry_tick = sim::usec(100.0);
 };
 
 class ShardedTestbed : public ImpairmentChain, public PairPlan {

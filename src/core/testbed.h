@@ -17,7 +17,7 @@
 
 namespace nectar::core {
 
-struct TestbedOptions : ImpairmentSpec {
+struct TestbedOptions : ImpairmentSpec, TelemetrySpec {
   HostParams params_a = HostParams::alpha3000_400();
   bool trace_packets = false;  // interpose a PacketTrace on the HIPPI fabric
   HostParams params_b = HostParams::alpha3000_400();
@@ -26,10 +26,6 @@ struct TestbedOptions : ImpairmentSpec {
   bool with_partition = false;
   bool with_ethernet = false;
   double ether_bandwidth_bps = 10e6 / 8.0;  // classic 10 Mbit/s Ethernet
-  // Opt-in observability: create a telemetry::Telemetry registry, wire it
-  // through both hosts and the wire, and sample gauges every telemetry_tick.
-  bool telemetry = false;
-  sim::Duration telemetry_tick = sim::usec(100.0);
   // Wire MTU of both CAB interfaces (0 = the attach_cab default, 32 KB).
   std::size_t cab_mtu = 0;
   // Large-segment offload (TSO/GRO analogue) on both CAB drivers.

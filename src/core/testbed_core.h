@@ -1,7 +1,8 @@
 // The plumbing Testbed, MultiTestbed and ShardedTestbed share, declared once:
 //
-//  * ImpairmentSpec  the wire-impairment knobs. Every testbed's options
-//                    struct inherits them.
+//  * ImpairmentSpec  the wire-impairment knobs, and
+//  * TelemetrySpec   the observability knobs. Every testbed's options
+//                    struct inherits both.
 //  * ImpairmentChain owns the impairment layers stacked over a testbed's bare
 //                    fabric (a direct wire or a switch), lists them, and
 //                    hands out the outermost fabric.
@@ -36,6 +37,16 @@ struct ImpairmentSpec {
   std::size_t rate_limit_burst = 64 * 1024;
   // Blackhole windows [start, end) applied by a PartitionFabric.
   std::vector<std::pair<sim::Time, sim::Time>> partition_windows;
+};
+
+// Opt-in observability: create telemetry::Telemetry registries, wire them
+// through every host and the wire, and sample gauges every telemetry_tick.
+// Testbed and MultiTestbed share one registry across their hosts;
+// ShardedTestbed keeps one per shard (a registry binds to one Simulator),
+// and telemetry::merged_metrics_json combines them.
+struct TelemetrySpec {
+  bool telemetry = false;
+  sim::Duration telemetry_tick = sim::usec(100.0);
 };
 
 // The layers stack in one inside-out order: corruption innermost (damage

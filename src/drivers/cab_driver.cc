@@ -16,6 +16,18 @@ using net::KernCtx;
 
 namespace {
 
+// Recovery tuning: how the driver watches the adaptor and how hard it tries
+// to bring it back (all deterministic — no wall clock, no randomness).
+constexpr sim::Duration kWatchdogPeriod = sim::msec(10);
+constexpr sim::Duration kResetDuration = sim::msec(5);    // board reinit time
+constexpr sim::Duration kBackoffInitial = sim::msec(10);  // first retry after a failed reset
+constexpr sim::Duration kBackoffCap = sim::msec(160);     // exponential backoff ceiling
+constexpr sim::Duration kDmaRetryDelay = sim::usec(500);  // copy-in/out repost spacing
+constexpr int kDmaRetryLimit = 20000;                     // per copy-out job
+// Degraded receive window: autodma covers this many bytes so packets arrive
+// fully host-resident and the software checksum can read them.
+constexpr std::size_t kDegradedAutodmaBytes = 64 * 1024;
+
 // Parsed view of a receive descriptor's auto-DMAed head, for the driver's
 // coalescing (GRO) decisions. `tcp` marks a plain unfragmented IPv4 TCP
 // segment whose frame length is self-consistent; only those may merge.
@@ -448,13 +460,13 @@ void CabDriver::submit_copyin(std::shared_ptr<CopyinJob> job) {
       job->req.body_sum_only = false;
     }
     ++rec_stats.copy_in_retries;
-    stack()->env().sim.after(rc_.dma_retry_delay,
+    stack()->env().sim.after(kDmaRetryDelay,
                              [this, job] { submit_copyin(job); });
   };
   if (!dev_.sdma().post(std::move(r))) {
     // Command queue full: space frees as the engine drains (or recovers).
     ++rec_stats.copy_in_retries;
-    stack()->env().sim.after(rc_.dma_retry_delay,
+    stack()->env().sim.after(kDmaRetryDelay,
                              [this, job] { submit_copyin(job); });
   }
 }
@@ -570,12 +582,12 @@ void CabDriver::gro_enqueue(cab::RecvDesc&& desc) {
   }
   gro_q_.push_back(std::move(e));
   ++off_stats.rx_batched_descs;
-  if (gro_q_.size() >= oc_.gro_budget) {
+  if (gro_q_.size() >= kGroBudget) {
     ++off_stats.rx_flush_budget;
     gro_flush();
   } else if (!gro_timer_armed_) {
     gro_timer_armed_ = true;
-    gro_timer_ = env.sim.timer_after(oc_.gro_flush_window, [this] {
+    gro_timer_ = env.sim.timer_after(kGroFlushWindow, [this] {
       gro_timer_armed_ = false;
       if (gro_q_.empty()) return;
       ++off_stats.rx_flush_timer;
@@ -649,7 +661,7 @@ sim::Task<void> CabDriver::recv_batch_intr(std::vector<GroEntry> batch) {
               b.flags == kTcpFlagAckOnly && b.src == a.src && b.dst == a.dst &&
               b.sport == a.sport && b.dport == a.dport && b.thl == a.thl &&
               b.seq == next_seq && b.ack == a.ack && b.win == a.win &&
-              run_payload + b.payload <= oc_.gro_max_bytes))
+              run_payload + b.payload <= kGroMaxBytes))
           break;
         next_seq += static_cast<std::uint32_t>(b.payload);
         run_payload += b.payload;
@@ -798,8 +810,7 @@ void CabDriver::unpin_uio(Mbuf* chain) {
   }
 }
 
-void CabDriver::enable_recovery(const RecoveryConfig& rc) {
-  rc_ = rc;
+void CabDriver::enable_recovery() {
   recovery_enabled_ = true;
   healthy_caps_ = caps();
   healthy_autodma_words_ = dev_.mdma_recv().autodma_words();
@@ -817,7 +828,7 @@ void CabDriver::arm_watchdog() {
   if (!recovery_enabled_ || wd_armed_ || state_ == AdaptorState::kResetting)
     return;
   wd_armed_ = true;
-  wd_timer_ = stack()->env().sim.timer_after(rc_.watchdog_period,
+  wd_timer_ = stack()->env().sim.timer_after(kWatchdogPeriod,
                                              [this] { watchdog_fire(); });
 }
 
@@ -900,7 +911,7 @@ void CabDriver::start_reset() {
   dev_.mdma_recv().set_stalled(true);
   dev_.sdma().abort_all();
   dev_.mdma_xmit().abort_all();
-  stack()->env().sim.after(rc_.reset_duration, [this] { finish_reset(); });
+  stack()->env().sim.after(kResetDuration, [this] { finish_reset(); });
 }
 
 void CabDriver::finish_reset() {
@@ -909,15 +920,15 @@ void CabDriver::finish_reset() {
     // the cap (so a long outage retries steadily instead of ever-slower).
     ++rec_stats.reset_failures;
     ++reset_attempts_;
-    sim::Duration backoff = rc_.backoff_initial;
-    for (int i = 1; i < reset_attempts_ && backoff < rc_.backoff_cap; ++i)
+    sim::Duration backoff = kBackoffInitial;
+    for (int i = 1; i < reset_attempts_ && backoff < kBackoffCap; ++i)
       backoff *= 2;
-    if (backoff > rc_.backoff_cap) backoff = rc_.backoff_cap;
+    if (backoff > kBackoffCap) backoff = kBackoffCap;
     ++rec_stats.resets;
     stack()->env().sim.after(backoff, [this] {
       dev_.sdma().abort_all();
       dev_.mdma_xmit().abort_all();
-      stack()->env().sim.after(rc_.reset_duration, [this] { finish_reset(); });
+      stack()->env().sim.after(kResetDuration, [this] { finish_reset(); });
     });
     return;
   }
@@ -944,7 +955,7 @@ void CabDriver::enter_degraded(unsigned reason) {
     // needs outboard reads.
     healthy_autodma_words_ = dev_.mdma_recv().autodma_words();
     dev_.mdma_recv().set_autodma_words(
-        static_cast<std::uint32_t>(rc_.degraded_autodma_bytes / 4));
+        static_cast<std::uint32_t>(kDegradedAutodmaBytes / 4));
   }
   if ((reason & kDegradeNoMem) != 0) ++rec_stats.degrade_enter_nomem;
   apply_caps();
@@ -984,7 +995,7 @@ void CabDriver::submit_copyout(std::shared_ptr<CopyJob> job) {
 }
 
 void CabDriver::retry_copyout(std::shared_ptr<CopyJob> job) {
-  if (++job->attempts > rc_.dma_retry_limit) {
+  if (++job->attempts > kDmaRetryLimit) {
     // Give up loudly: the reader's wait must not hang forever, but the bytes
     // never arrived — the counter is the alarm.
     ++rec_stats.copyouts_failed;
@@ -993,7 +1004,7 @@ void CabDriver::retry_copyout(std::shared_ptr<CopyJob> job) {
     return;
   }
   ++rec_stats.copyout_retries;
-  stack()->env().sim.after(rc_.dma_retry_delay,
+  stack()->env().sim.after(kDmaRetryDelay,
                            [this, job] { submit_copyout(job); });
 }
 

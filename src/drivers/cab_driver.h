@@ -28,33 +28,20 @@
 
 namespace nectar::drivers {
 
-// Recovery tuning: how the driver watches the adaptor and how hard it tries
-// to bring it back (all deterministic — no wall clock, no randomness).
-struct RecoveryConfig {
-  sim::Duration watchdog_period = sim::msec(10);
-  sim::Duration reset_duration = sim::msec(5);    // board reinit time
-  sim::Duration backoff_initial = sim::msec(10);  // first retry after a failed reset
-  sim::Duration backoff_cap = sim::msec(160);     // exponential backoff ceiling
-  sim::Duration dma_retry_delay = sim::usec(500); // copy-in/out repost spacing
-  int dma_retry_limit = 20000;                    // per copy-out job
-  // Degraded receive window: autodma covers this many bytes so packets arrive
-  // fully host-resident and the software checksum can read them.
-  std::size_t degraded_autodma_bytes = 64 * 1024;
-};
-
 // Large-segment offload tuning (opt-in via CabDriver::enable_offload).
 struct OffloadConfig {
   // Send: wire MTUs the socket layer may stage into one outboard
   // super-segment; the MDMA engine cuts it at transmit time.
   std::size_t tso_max = 4;
-  // Receive: completion descriptors held back per coalescing batch (one
-  // interrupt per batch), and how long the first held descriptor may wait.
-  std::size_t gro_budget = 8;
-  sim::Duration gro_flush_window = sim::usec(100);
-  // Merged-record payload cap (must leave room for IP/TCP headers under the
-  // 64 KB IP length limit).
-  std::size_t gro_max_bytes = 60000;
 };
+
+// Receive coalescing: completion descriptors held back per batch (one
+// interrupt per batch), and how long the first held descriptor may wait.
+inline constexpr std::size_t kGroBudget = 8;
+inline constexpr sim::Duration kGroFlushWindow = sim::usec(100);
+// Merged-record payload cap (must leave room for IP/TCP headers under the
+// 64 KB IP length limit).
+inline constexpr std::size_t kGroMaxBytes = 60000;
 
 class CabDriver final : public net::Ifnet {
  public:
@@ -180,7 +167,7 @@ class CabDriver final : public net::Ifnet {
   };
   RecoveryStats rec_stats;
 
-  void enable_recovery(const RecoveryConfig& rc = {});
+  void enable_recovery();
   [[nodiscard]] bool recovery_enabled() const noexcept { return recovery_enabled_; }
   [[nodiscard]] bool resetting() const noexcept {
     return state_ == AdaptorState::kResetting;
@@ -201,8 +188,7 @@ class CabDriver final : public net::Ifnet {
     std::uint64_t tel_key = 0;  // gro_hold span (0 = telemetry off)
   };
   [[nodiscard]] bool gro_active() const noexcept {
-    return offload_enabled_ && oc_.gro_budget > 1 && degraded_ == 0 &&
-           state_ == AdaptorState::kUp;
+    return offload_enabled_ && degraded_ == 0 && state_ == AdaptorState::kUp;
   }
   void gro_enqueue(cab::RecvDesc&& desc);
   void gro_flush();
@@ -269,7 +255,6 @@ class CabDriver final : public net::Ifnet {
 
   // Recovery state.
   bool recovery_enabled_ = false;
-  RecoveryConfig rc_;
   AdaptorState state_ = AdaptorState::kUp;
   unsigned degraded_ = 0;          // DegradeReason bitmask
   unsigned healthy_caps_ = 0;

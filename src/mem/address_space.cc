@@ -13,7 +13,6 @@ VAddr AddressSpace::allocate(std::size_t size, std::size_t misalign) {
   r.size = size;
   r.backing.assign(size, std::byte{0});
   regions_.emplace(base, std::move(r));
-  bytes_mapped_ += size;
   // Advance past this region plus a one-page guard gap, re-aligned.
   next_ = page_base(base + size + 2 * kPageSize);
   return base;
@@ -23,7 +22,6 @@ void AddressSpace::deallocate(VAddr base) {
   auto it = regions_.find(base);
   if (it == regions_.end())
     throw std::out_of_range("AddressSpace::deallocate: unknown region");
-  bytes_mapped_ -= it->second.size;
   regions_.erase(it);
 }
 

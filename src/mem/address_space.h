@@ -54,8 +54,6 @@ class AddressSpace {
 
   [[nodiscard]] bool valid(VAddr addr, std::size_t len) const noexcept;
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t region_count() const noexcept { return regions_.size(); }
-  [[nodiscard]] std::size_t bytes_mapped() const noexcept { return bytes_mapped_; }
 
  private:
   struct Region {
@@ -69,7 +67,6 @@ class AddressSpace {
   std::string name_;
   std::map<VAddr, Region> regions_;
   VAddr next_ = 0x0000'0001'0000'0000ULL;  // distinctive, page aligned
-  std::size_t bytes_mapped_ = 0;
 };
 
 // Scattered user memory descriptor: the `uio` the paper's M_UIO mbufs carry.

@@ -32,28 +32,30 @@ struct KernCtx {
   std::uint32_t flow = 0;
 };
 
-// Per-byte and per-operation CPU costs (the §7.3 decomposition). Per-byte
-// costs are bandwidths; per-op costs are microseconds, and are calibrated so
-// the per-packet total for 32 KB packets lands near the paper's measured
-// ~300 us (see core/host_params.cc).
+// Per-byte and per-operation CPU costs of the Alpha 3000/400 (the §7.3
+// decomposition). Per-byte costs are bandwidths; per-op costs are
+// microseconds.
 struct StackCosts {
   // Per-byte (sender copy: user->kernel buffers; checksum: one read pass).
-  double copy_bw_bps = 43.75e6;   // 350 Mbit/s memory-memory copy
-  double cksum_bw_bps = 78.75e6;  // 630 Mbit/s checksum read
+  double copy_bw_bps = 350.0e6 / 8.0;   // 350 Mbit/s cold memory-memory copy
+  double cksum_bw_bps = 630.0e6 / 8.0;  // 630 Mbit/s checksum read
 
-  // Per-operation (us).
-  double syscall_us = 25.0;         // user/kernel boundary crossing, per call
-  double sosend_chunk_us = 20.0;    // socket-layer work per chunk appended
-  double soreceive_chunk_us = 20.0; // socket-layer work per chunk delivered
-  double tcp_output_us = 60.0;      // per segment sent
-  double tcp_input_us = 60.0;       // per data segment received
-  double tcp_ack_us = 50.0;         // per pure ACK processed
-  double ip_output_us = 20.0;
-  double ip_input_us = 20.0;
-  double udp_output_us = 40.0;
-  double udp_input_us = 40.0;
-  double driver_issue_us = 45.0;    // build gather list, post SDMA/MDMA
-  double intr_us = 30.0;            // interrupt entry/exit + device ack
+  // Per-operation (us), calibrated to the paper's measured ~300 us per 32 KB
+  // packet on the sender: tcp_output + ip_output + driver ~180, ACK
+  // processing ~55 amortized at one ACK per two segments, and the write path
+  // ~70 per 32 KB write.
+  double syscall_us = 40.0;         // user/kernel boundary crossing, per call
+  double sosend_chunk_us = 30.0;    // socket-layer work per chunk appended
+  double soreceive_chunk_us = 30.0; // socket-layer work per chunk delivered
+  double tcp_output_us = 85.0;      // per segment sent
+  double tcp_input_us = 90.0;       // per data segment received
+  double tcp_ack_us = 70.0;         // per pure ACK processed
+  double ip_output_us = 30.0;
+  double ip_input_us = 25.0;
+  double udp_output_us = 60.0;
+  double udp_input_us = 60.0;
+  double driver_issue_us = 65.0;    // build gather list, post SDMA/MDMA
+  double intr_us = 40.0;            // interrupt entry/exit + device ack
   double wakeup_us = 15.0;          // scheduling a blocked process
 };
 

@@ -29,13 +29,6 @@ void NetStack::add_ifnet(Ifnet* ifp) {
   ifnets_.push_back(ifp);
 }
 
-Ifnet* NetStack::find_ifnet(const std::string& name) const {
-  for (Ifnet* ifp : ifnets_) {
-    if (ifp->name() == name) return ifp;
-  }
-  return nullptr;
-}
-
 IpAddr NetStack::source_addr_for(IpAddr dst) const {
   auto r = routes_.lookup(dst);
   return r ? r->ifp->addr() : 0;
@@ -133,7 +126,8 @@ std::uint16_t NetStack::alloc_ephemeral_port(IpAddr laddr, IpAddr faddr,
 
 void NetStack::adopt_zombie(std::unique_ptr<TcpConnection> tp) {
   // Longest plausible straggler: a retransmission timer backed off to
-  // rto_max. One linger period later nothing can still reference the object.
+  // kTcpRtoMax. One linger period later nothing can still reference the
+  // object.
   constexpr sim::Duration kZombieLinger = 31 * sim::kSecond;
   zombies_.emplace_back(std::move(tp), sim::TimerHandle{});
   const auto it = std::prev(zombies_.end());

@@ -15,9 +15,9 @@
 
 #include "mem/pin_cache.h"
 #include "mem/vm.h"
+#include "net/conn_table.h"
 #include "net/ifnet.h"
 #include "net/route.h"
-#include "net/sharded_conn_table.h"
 #include "net/syn_cookie.h"
 
 namespace nectar::telemetry {
@@ -86,7 +86,6 @@ class NetStack {
 
   void add_ifnet(Ifnet* ifp);  // not owned
   [[nodiscard]] const std::vector<Ifnet*>& ifnets() const noexcept { return ifnets_; }
-  [[nodiscard]] Ifnet* find_ifnet(const std::string& name) const;
 
   // Convenience: the address of the interface a destination routes out of
   // (source-address selection for connect/bind).
@@ -199,7 +198,7 @@ class NetStack {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  using ConnMap = ShardedConnTable<ConnKey, TcpConnection*>;
+  using ConnMap = ConnTable<ConnKey, TcpConnection*>;
   // Demux-table internals (probe lengths, tombstones, ...) for the exporter.
   [[nodiscard]] const ConnMap& tcp_demux() const noexcept { return tcp_conns_; }
 
@@ -247,7 +246,7 @@ class NetStack {
   std::list<std::pair<std::unique_ptr<TcpConnection>, sim::TimerHandle>> zombies_;
   std::deque<TimeWaitRecord> tw_slab_;
   std::vector<std::uint32_t> tw_free_;
-  ShardedConnTable<ConnKey, TimeWaitRecord*> tw_index_;
+  ConnTable<ConnKey, TimeWaitRecord*> tw_index_;
   std::size_t tw_live_ = 0;
   // SYN cookies: when the embryonic backlog for a live listen service is
   // exhausted, a clean SYN is answered with a stateless cookie SYN|ACK

@@ -27,7 +27,6 @@ class Sockbuf {
   ~Sockbuf();
 
   [[nodiscard]] std::size_t cc() const noexcept { return cc_; }      // bytes buffered
-  [[nodiscard]] std::size_t hiwat() const noexcept { return hiwat_; }
   [[nodiscard]] std::size_t space() const noexcept {
     return cc_ >= hiwat_ ? 0 : hiwat_ - cc_;
   }

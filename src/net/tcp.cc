@@ -124,7 +124,7 @@ sim::Task<bool> TcpConnection::connect(KernCtx ctx, IpAddr faddr,
     co_return false;
   }
   mss_ = static_cast<std::uint16_t>(route_if_->mtu() - kIpHdrLen - kTcpHdrLen);
-  iss_ = par_.iss != 0 ? par_.iss : derive_iss(key_);
+  iss_ = derive_iss(key_);
   snd_una_ = snd_nxt_ = snd_max_ = iss_;
   cwnd_ = mss_;
   rcv_scale_ = par_.window_scaling ? scale_for(par_.rcvbuf) : 0;
@@ -240,7 +240,8 @@ sim::Task<void> TcpConnection::window_update(KernCtx ctx) {
 
 void TcpConnection::start_rexmt_timer() {
   if (rexmt_timer_.armed()) return;
-  rexmt_timer_ = proto_timer(rto() << rexmt_backoff_, [this] { rexmt_fire(); });
+  rexmt_timer_ = proto_timer(std::min(rto() << rexmt_backoff_, kTcpRtoMax),
+                             [this] { rexmt_fire(); });
 }
 
 void TcpConnection::stop_rexmt_timer() {
@@ -303,8 +304,8 @@ void TcpConnection::update_rtt(sim::Duration measured) {
 
 sim::Duration TcpConnection::rto() const noexcept {
   const auto raw = sim::usec(srtt_us_ + 4.0 * rttvar_us_);
-  if (srtt_us_ == 0.0) return par_.rto_init;
-  return std::clamp(raw, par_.rto_min, par_.rto_max);
+  if (srtt_us_ == 0.0) return kTcpRtoInit;
+  return std::clamp(raw, kTcpRtoMin, kTcpRtoMax);
 }
 
 sim::Task<void> TcpConnection::input(KernCtx ctx, Mbuf* pkt, const IpHeader& ih) {
@@ -314,7 +315,7 @@ sim::Task<void> TcpConnection::input(KernCtx ctx, Mbuf* pkt, const IpHeader& ih)
   // connection's buffers and demux slot right now. Late segments and tuple
   // recycling are handled by NetStack against the record.
   if (state_ == TcpState::kTimeWait) {
-    stack_.timewait_enter(key_, rcv_nxt_, snd_nxt_, 2 * par_.msl);
+    stack_.timewait_enter(key_, rcv_nxt_, snd_nxt_, 2 * kTcpMsl);
     enter_state(TcpState::kClosed);
     teardown();
   }

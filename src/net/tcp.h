@@ -62,21 +62,23 @@ enum class TcpState {
 
 [[nodiscard]] const char* tcp_state_name(TcpState s) noexcept;
 
+// Protocol timer constants. The retransmission interval, backed off or not,
+// stays within [kTcpRtoMin, kTcpRtoMax] (BSD's TCPT_RANGESET).
+inline constexpr int kTcpAckEvery = 2;  // immediate ACK every Nth data segment
+inline constexpr sim::Duration kTcpDelack = sim::msec(10);
+inline constexpr sim::Duration kTcpRtoMin = sim::msec(200);
+inline constexpr sim::Duration kTcpRtoMax = 30 * sim::kSecond;
+inline constexpr sim::Duration kTcpRtoInit = sim::kSecond;
+inline constexpr sim::Duration kTcpMsl = sim::kSecond;  // short TIME_WAIT keeps sims fast
+
 struct TcpParams {
   std::size_t sndbuf = 512 * 1024;  // paper: 512 KB TCP window
   std::size_t rcvbuf = 512 * 1024;
   bool window_scaling = true;       // RFC 1323 (paper §7.1)
-  int ack_every = 2;                // immediate ACK every Nth data segment
-  sim::Duration delack = sim::msec(10);
-  sim::Duration rto_min = sim::msec(200);
-  sim::Duration rto_max = 30 * sim::kSecond;
-  sim::Duration rto_init = sim::kSecond;
-  sim::Duration msl = sim::kSecond;  // short TIME_WAIT keeps sims fast
   // Use outboard checksumming when the interface supports it. The
   // "unmodified stack" baseline turns this off: it treats the CAB as a dumb
   // device and runs the classic software checksum on both sides.
   bool csum_offload = true;
-  std::uint32_t iss = 0;  // 0 = derive from stack (deterministic)
   // Arbitration class weight (>= 1) for kWeightedFair CAB scheduling: when
   // NetStack assigns this connection's flow id it broadcasts the weight to
   // every interface, so the DMA arbiter serves this flow `arb_weight`

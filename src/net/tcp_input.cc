@@ -136,7 +136,7 @@ sim::Task<void> TcpConnection::input_locked(KernCtx ctx, Mbuf* pkt,
       }
       irs_ = th.seq;
       rcv_nxt_ = th.seq + 1;
-      iss_ = par_.iss != 0 ? par_.iss : (th.seq ^ 0x5ca1ab1eu) | 1;
+      iss_ = (th.seq ^ 0x5ca1ab1eu) | 1;
       snd_una_ = snd_nxt_ = snd_max_ = iss_;
       cwnd_ = mss_;
       snd_wnd_ = th.win;  // unscaled in SYN
@@ -439,13 +439,13 @@ sim::Task<void> TcpConnection::accept_data(KernCtx ctx, Mbuf* pkt,
                        ? static_cast<int>((data_len + mss_ - 1) / mss_)
                        : 1;
   ack_due_ = true;
-  if (got_fin || unacked_segs_ >= par_.ack_every) {
+  if (got_fin || unacked_segs_ >= kTcpAckEvery) {
     ack_due_ = false;
     unacked_segs_ = 0;
     delack_timer_.cancel();
     co_await send_control(ctx, snd_nxt_, kTcpAck);
   } else if (!delack_timer_.armed()) {
-    delack_timer_ = proto_timer(par_.delack, [this] { delack_fire(); });
+    delack_timer_ = proto_timer(kTcpDelack, [this] { delack_fire(); });
   }
 }
 

@@ -1,6 +1,5 @@
 #include "overload/ops_console.h"
 
-#include <ostream>
 #include <sstream>
 
 #include "core/netstat.h"
@@ -148,7 +147,6 @@ void OpsConsole::tick() {
   record.set("hosts", std::move(hosts));
   lines_.push_back(record.dump(0));
   last_table_ = os.str();
-  if (opts_.out != nullptr) *opts_.out << last_table_;
 }
 
 }  // namespace nectar::core

@@ -12,8 +12,8 @@
 // Netstat. The first record reports totals since t = 0.
 //
 // Each record is captured twice: as a compact JSON line (machine tail -f)
-// and, when a stream is supplied, as a human-readable text table — the two
-// formats an operator console actually needs.
+// and as a human-readable text table — the two formats an operator console
+// actually needs.
 //
 // Connections that retire between ticks take their counters with them, so a
 // per-class delta can appear negative; it is clamped to zero (the retired
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -39,7 +38,6 @@ namespace nectar::core {
 
 struct OpsConsoleOptions {
   sim::Duration period = sim::msec(10.0);
-  std::ostream* out = nullptr;  // optional live text-table stream
 };
 
 class OpsConsole {

@@ -51,10 +51,14 @@ struct Watermark {
   double low = 0.70;
 };
 
+// Per-resource watermarks, indexed by Resource.
+inline constexpr std::array<Watermark, kNumResources> kWatermarks{{
+    {0.75, 0.50},  // DMA queues are shallow (depth 64): trip early
+    {0.85, 0.70},  // outboard memory
+    {0.90, 0.75},  // pool is elastic; pressure is vs mbuf_cap
+}};
+
 struct OverloadConfig {
-  Watermark arb{0.75, 0.50};   // DMA queues are shallow (depth 64): trip early
-  Watermark nm{0.85, 0.70};    // outboard memory
-  Watermark mbuf{0.90, 0.75};  // pool is elastic; pressure is vs mbuf_cap
   // Soft capacity for the (elastic) mbuf pool: in_use/mbuf_cap is the
   // pressure fraction the mbuf watermark is measured against.
   std::uint64_t mbuf_cap = 16384;
@@ -118,8 +122,8 @@ class OverloadManager {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const OverloadConfig& config() const noexcept { return cfg_; }
   // The watermark of resource `r` (indexed by Resource).
-  [[nodiscard]] const Watermark& watermark(std::size_t r) const noexcept {
-    return r == 0 ? cfg_.arb : r == 1 ? cfg_.nm : cfg_.mbuf;
+  [[nodiscard]] static const Watermark& watermark(std::size_t r) noexcept {
+    return kWatermarks[r];
   }
 
  private:

@@ -57,8 +57,6 @@ class Cpu {
     return accounts_[acct].name;
   }
   [[nodiscard]] std::size_t num_accounts() const noexcept { return accounts_.size(); }
-  [[nodiscard]] double speed_scale() const noexcept { return scale_; }
-  [[nodiscard]] bool is_busy() const noexcept { return busy_; }
   [[nodiscard]] Duration scaled(Duration work) const noexcept {
     return static_cast<Duration>(static_cast<double>(work) * scale_);
   }

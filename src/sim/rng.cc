@@ -63,11 +63,6 @@ std::uint64_t Rng::uniform_below(std::uint64_t n) noexcept {
   return v % n;
 }
 
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_below(span));
-}
-
 double Rng::exponential(double mean) noexcept {
   double u;
   do {

@@ -36,9 +36,6 @@ class Rng {
   // Uniform integer in [0, n). n == 0 returns 0.
   std::uint64_t uniform_below(std::uint64_t n) noexcept;
 
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) noexcept;
-
   // Exponential with the given mean (> 0).
   double exponential(double mean) noexcept;
 

@@ -2,7 +2,7 @@
 //
 // All latencies and bandwidth-derived transfer times in the library are
 // expressed in these units. Helpers convert from the units the paper uses
-// (microseconds for CPU costs, Mbit/s and MByte/s for bandwidths).
+// (microseconds for CPU costs, Mbit/s for throughput).
 #pragma once
 
 #include <cstdint>
@@ -43,11 +43,6 @@ constexpr Duration transfer_time(std::int64_t bytes, double bytes_per_sec) noexc
   const auto ns = static_cast<Duration>(sec * static_cast<double>(kSecond));
   return ns > 0 ? ns : 1;
 }
-
-// Bandwidth conversions. The paper mixes Mbit/s (throughput plots) and
-// MByte/s (HIPPI line rate), so both are provided.
-constexpr double mbit_per_s(double mb) noexcept { return mb * 1e6 / 8.0; }
-constexpr double mbyte_per_s(double mb) noexcept { return mb * 1e6; }
 
 // Throughput in Mbit/s for `bytes` moved in `elapsed`.
 constexpr double throughput_mbps(std::int64_t bytes, Duration elapsed) noexcept {

@@ -105,7 +105,6 @@ class Telemetry {
   // the simulator to completion or it will keep the event queue alive.
   void start_ticker(sim::Duration period);
   void stop_ticker();
-  [[nodiscard]] bool ticker_running() const noexcept { return ticker_on_; }
 
   // --- export --------------------------------------------------------------
   // Chrome trace-event JSON: {"schema_version", "traceEvents":[...]} with

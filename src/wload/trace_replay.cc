@@ -127,8 +127,8 @@ struct ReplayShared {
 };
 
 sim::Task<void> replay_flow(Shim& sh, const TraceFlow& flow, std::uint16_t port,
-                            sim::Time start_at, double scale,
-                            TraceReplayResult& res, ReplayShared& shared) {
+                            sim::Time start_at, TraceReplayResult& res,
+                            ReplayShared& shared) {
   auto& sim = sh.sim();
   if (start_at > sim.now()) co_await sim::delay(sim, start_at - sim.now());
   const sim::Time t0 = sim.now();
@@ -145,8 +145,7 @@ sim::Task<void> replay_flow(Shim& sh, const TraceFlow& flow, std::uint16_t port,
   mem::UserBuffer buf = sh.walloc(std::max<std::size_t>(buf_cap, 1));
   bool ok = true;
   for (const TraceFlow::Seg& s : flow.segs) {
-    const auto due = t0 + static_cast<sim::Duration>(
-                              static_cast<double>(s.at) * scale);
+    const sim::Time due = t0 + s.at;
     if (due > sim.now()) co_await sim::delay(sim, due - sim.now());
     const long w = co_await sh.wsend(fd, buf.as_uio(0, s.payload));
     if (w != static_cast<long>(s.payload)) {
@@ -176,7 +175,7 @@ TraceReplayResult run_trace_replay(core::Testbed& tb, const TraceWorkload& wl,
   std::vector<SinkCtl> sctl(wl.flows.size());
   for (std::size_t i = 0; i < wl.flows.size(); ++i) {
     sim::spawn(sink_server(server,
-                           static_cast<std::uint16_t>(cfg.base_port + i),
+                           static_cast<std::uint16_t>(kReplayBasePort + i),
                            cfg.listen_backlog, sctl[i]));
   }
 
@@ -184,18 +183,16 @@ TraceReplayResult run_trace_replay(core::Testbed& tb, const TraceWorkload& wl,
   shared.total = wl.flows.size();
   if (shared.total == 0) shared.done = true;
 
-  // Preserve the capture's relative flow start times (scaled), anchored at
-  // the earliest flow.
+  // Preserve the capture's relative flow start times, anchored at the
+  // earliest flow.
   sim::Time earliest = 0;
   for (const TraceFlow& f : wl.flows)
     earliest = earliest == 0 ? f.first_at : std::min(earliest, f.first_at);
   const sim::Time t0 = tb.sim.now();
   for (std::size_t i = 0; i < wl.flows.size(); ++i) {
-    const auto offset = static_cast<sim::Duration>(
-        static_cast<double>(wl.flows[i].first_at - earliest) * cfg.time_scale);
     sim::spawn(replay_flow(client, wl.flows[i],
-                           static_cast<std::uint16_t>(cfg.base_port + i),
-                           t0 + offset, cfg.time_scale, out, shared));
+                           static_cast<std::uint16_t>(kReplayBasePort + i),
+                           t0 + (wl.flows[i].first_at - earliest), out, shared));
   }
 
   out.completed = tb.run_until_done(shared.done, cfg.deadline);

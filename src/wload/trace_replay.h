@@ -58,9 +58,10 @@ struct TraceWorkload {
   static bool from_pcap(const std::string& path, TraceWorkload& out);
 };
 
+// Flow i sinks into kReplayBasePort + i on B.
+inline constexpr std::uint16_t kReplayBasePort = 12000;
+
 struct TraceReplayConfig {
-  double time_scale = 1.0;        // stretch (>1) or compress (<1) gaps
-  std::uint16_t base_port = 12000;  // flow i sinks into base_port + i on B
   int listen_backlog = 32;
   sim::Time deadline = 60 * sim::kSecond;
 };

@@ -21,7 +21,7 @@ Shim::Shim(core::Host& host, Options opts)
     : host_(host),
       opts_(std::move(opts)),
       proc_(&host.create_process(opts_.process_name)),
-      fds_(opts_.max_fds) {}
+      fds_(kShimMaxFds) {}
 
 Shim::Fd* Shim::at(int fd) {
   if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size()) return nullptr;
@@ -145,9 +145,9 @@ sim::Task<int> Shim::wclose(int fd) {
     // un-ACKed send-buffer tail would otherwise be silently dropped — a
     // passive reader (a wpoll multiplexer busy with other fds) would then
     // wait forever for bytes that no longer exist.
-    const sim::Time give_up = host_.sim().now() + opts_.close_linger;
+    const sim::Time give_up = host_.sim().now() + kShimCloseLinger;
     while (!e->sock->tx_drained() && host_.sim().now() < give_up)
-      co_await sim::delay(host_.sim(), opts_.poll_quantum);
+      co_await sim::delay(host_.sim(), kShimPollQuantum);
   }
   // Destroying the Socket/Listener releases the slot; in-flight protocol
   // work (FIN exchange tail) continues on the stack's zombie list.
@@ -188,7 +188,7 @@ sim::Task<int> Shim::wpoll(WPollFd* fds, std::size_t nfds, sim::Duration timeout
       ++stats_.poll_timeouts;
       co_return 0;
     }
-    sim::Duration step = opts_.poll_quantum;
+    sim::Duration step = kShimPollQuantum;
     if (timeout > 0) step = std::min(step, deadline - host_.sim().now());
     co_await sim::delay(host_.sim(), step);
   }

@@ -47,16 +47,18 @@ struct WPollFd {
   short revents = 0;  // returned
 };
 
+// The fd table's size: wsocket returns W_EMFILE once every slot is open.
+inline constexpr std::size_t kShimMaxFds = 512;
+// wpoll re-evaluates readiness on this simulated-time grain when nothing is
+// ready yet.
+inline constexpr sim::Duration kShimPollQuantum = sim::usec(20);
+// wclose lingers up to this long for the peer to ACK everything wsend
+// accepted (releasing the Socket earlier would discard the un-ACKed tail of
+// its send buffer).
+inline constexpr sim::Duration kShimCloseLinger = 30 * sim::kSecond;
+
 struct ShimOptions {
   socket::SocketOptions socket;  // options for every socket the shim opens
-  std::size_t max_fds = 512;
-  // wpoll re-evaluates readiness on this simulated-time grain when nothing
-  // is ready yet.
-  sim::Duration poll_quantum = sim::usec(20);
-  // wclose lingers up to this long for the peer to ACK everything wsend
-  // accepted (releasing the Socket earlier would discard the un-ACKed tail
-  // of its send buffer). 0 = no linger, POSIX SO_LINGER {on, 0}-ish.
-  sim::Duration close_linger = 30 * sim::kSecond;
   std::string process_name = "wload";
 };
 

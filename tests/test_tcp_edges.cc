@@ -1,6 +1,9 @@
 // TCP corner cases: simultaneous close, half-close, zero-window persist
-// probing, tiny windows without scaling, and checksum-corruption rejection.
+// probing, tiny windows without scaling, checksum-corruption rejection, and
+// the protocol timer constants as seen on the wire.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "apps/ttcp.h"
 #include "core/packet_trace.h"
@@ -15,27 +18,33 @@ using socket::CopyPolicy;
 using socket::Socket;
 using socket::SocketOptions;
 
+// Connect c (on host A, process pa) to s (on host B, process pb).
+void connect_pair(Testbed& tb, core::Host::Process& pa, core::Host::Process& pb,
+                  Socket& c, Socket& s, std::uint16_t port) {
+  bool ok_c = false, ok_s = false;
+  auto server = [&]() -> sim::Task<void> {
+    auto ctx = pb.ctx();
+    s.listen(port);
+    ok_s = co_await s.accept(ctx);
+  };
+  auto client = [&]() -> sim::Task<void> {
+    auto ctx = pa.ctx();
+    ok_c = co_await c.connect(ctx, Testbed::kIpB, port);
+  };
+  sim::spawn(server());
+  sim::spawn(client());
+  tb.run_until_done(ok_s, tb.sim.now() + 30 * sim::kSecond);
+  ASSERT_TRUE(ok_c);
+  ASSERT_TRUE(ok_s);
+}
+
 struct EdgeFixture : ::testing::Test {
   Testbed tb;
   core::Host::Process& pa{tb.a->create_process("a")};
   core::Host::Process& pb{tb.b->create_process("b")};
 
   void establish(Socket& c, Socket& s, std::uint16_t port) {
-    bool ok_c = false, ok_s = false;
-    auto server = [&]() -> sim::Task<void> {
-      auto ctx = pb.ctx();
-      s.listen(port);
-      ok_s = co_await s.accept(ctx);
-    };
-    auto client = [&]() -> sim::Task<void> {
-      auto ctx = pa.ctx();
-      ok_c = co_await c.connect(ctx, Testbed::kIpB, port);
-    };
-    sim::spawn(server());
-    sim::spawn(client());
-    tb.run_until_done(ok_s, tb.sim.now() + 30 * sim::kSecond);
-    ASSERT_TRUE(ok_c);
-    ASSERT_TRUE(ok_s);
+    connect_pair(tb, pa, pb, c, s, port);
   }
 };
 
@@ -230,6 +239,118 @@ TEST_F(EdgeFixture, UdpChecksumDisabledStillDelivers) {
   tb.run_until_done(done, tb.sim.now() + 30 * sim::kSecond);
   EXPECT_TRUE(done);
   EXPECT_GT(tb.a->stack().udp().stats().nocsum_tx, 0u);
+}
+
+// A testbed with host A's socket c connected to host B's socket s.
+struct ConnectedPair {
+  ConnectedPair(TestbedOptions o, std::uint16_t port) : tb(std::move(o)) {
+    connect_pair(tb, pa, pb, c, s, port);
+  }
+
+  // Queue `bytes` on c; returns without waiting for the ACK.
+  void send(std::size_t bytes) {
+    bool sent = false;
+    auto run = [&]() -> sim::Task<void> {
+      auto ctx = pa.ctx();
+      mem::UserBuffer src(pa.as, bytes);
+      (void)co_await c.send(ctx, src.as_uio());
+      sent = true;
+    };
+    sim::spawn(run());
+    tb.run_until_done(sent, tb.sim.now() + sim::kSecond);
+    ASSERT_TRUE(sent);
+  }
+
+  // Wire times of the data-bearing segments host A sent.
+  [[nodiscard]] std::vector<sim::Time> data_sent_by_a() const {
+    std::vector<sim::Time> out;
+    for (const auto& e : tb.trace->entries()) {
+      if (e.src == Testbed::kHaA && e.proto == kProtoTcp && e.payload > 0)
+        out.push_back(e.when);
+    }
+    return out;
+  }
+
+  Testbed tb;
+  core::Host::Process& pa{tb.a->create_process("a")};
+  core::Host::Process& pb{tb.b->create_process("b")};
+  Socket c{tb.a->stack(), Socket::Proto::kTcp};
+  Socket s{tb.b->stack(), Socket::Proto::kTcp};
+};
+
+// The timer constants, each observed on the wire or in the stack's counters:
+// the retransmission interval starts at 1 s, doubles per timeout and is
+// clamped at 30 s; TIME-WAIT lasts 2 * MSL = 2 s; and a lone data segment
+// waits the 10 ms delayed-ACK timer for its ACK.
+TEST(TcpTimers, BackoffClampTimeWaitAndDelayedAck) {
+  TestbedOptions traced;
+  traced.trace_packets = true;
+  {
+    // Retransmission backoff: the link dies after the handshake, and A
+    // retransmits 4 KiB into the void for 900 s.
+    TestbedOptions o = traced;
+    o.with_partition = true;
+    ConnectedPair p(o, 7110);
+    p.tb.trace->clear();
+    p.tb.partition->set_down(true);
+    const sim::Time t0 = p.tb.sim.now();
+    p.send(4096);
+    p.tb.sim.run_until(t0 + 900 * sim::kSecond);
+
+    // Gaps in whole milliseconds: the timer is re-armed once the sender's
+    // per-segment processing (well under 1 ms) has handed the segment down.
+    const std::vector<sim::Time> tx = p.data_sent_by_a();
+    std::vector<sim::Duration> gaps_ms;
+    for (std::size_t i = 1; i < tx.size(); ++i)
+      gaps_ms.push_back((tx[i] - tx[i - 1]) / sim::kMillisecond);
+    std::vector<sim::Duration> want_ms = {1000, 2000, 4000, 8000, 16000};
+    want_ms.resize(33, 30000);
+    EXPECT_EQ(gaps_ms, want_ms);
+    EXPECT_EQ(p.c.tcp().stats().rexmt_timeouts, 33u);
+  }
+  {
+    // TIME-WAIT: A closes first, so A holds the record.
+    ConnectedPair p(TestbedOptions{}, 7111);
+    auto close_both = [&]() -> sim::Task<void> {
+      auto ctx_a = p.pa.ctx();
+      auto ctx_b = p.pb.ctx();
+      co_await p.c.close(ctx_a);
+      co_await p.s.close(ctx_b);
+    };
+    sim::spawn(close_both());
+    const NetStack& stack = p.tb.a->stack();
+    while (stack.timewait_count() == 0 && p.tb.sim.step()) {
+    }
+    ASSERT_EQ(stack.timewait_count(), 1u);
+    const sim::Time entered = p.tb.sim.now();
+    const std::uint64_t expiries = stack.stats().timewait_expiries;
+    while (stack.timewait_count() == 1 && p.tb.sim.step()) {
+    }
+    EXPECT_EQ(stack.timewait_count(), 0u);
+    EXPECT_EQ(p.tb.sim.now() - entered, 2 * sim::kSecond);
+    EXPECT_EQ(stack.stats().timewait_expiries, expiries + 1);
+  }
+  {
+    // Delayed ACK: nothing else is in flight, so B's ACK waits for the
+    // timer. The gap adds B's receive and transmit processing to the 10 ms.
+    ConnectedPair p(traced, 7112);
+    p.tb.trace->clear();
+    p.send(1024);
+    p.tb.sim.run_until(p.tb.sim.now() + sim::kSecond);
+
+    const std::vector<sim::Time> tx = p.data_sent_by_a();
+    ASSERT_EQ(tx.size(), 1u);
+    sim::Time acked = 0;
+    for (const auto& e : p.tb.trace->entries()) {
+      if (e.src == Testbed::kHaB && e.proto == kProtoTcp && e.when > tx[0]) {
+        acked = e.when;
+        break;
+      }
+    }
+    ASSERT_NE(acked, 0);
+    EXPECT_GT(acked - tx[0], sim::msec(10));
+    EXPECT_LT(acked - tx[0], sim::msec(11));
+  }
 }
 
 }  // namespace
