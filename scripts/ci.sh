@@ -1,7 +1,7 @@
 #!/bin/sh
-# CI entry point: build and test the two supported configurations, smoke-run
-# the wall-clock bench harness, and check that every committed simulated
-# result still comes out the same.
+# CI entry point: build and test the two supported configurations, check that
+# the repository benchmark reproduces its recorded digests, and check that
+# every committed simulated result still comes out the same.
 #
 #  * Debug: no NDEBUG, every assert live — the config that catches contract
 #    violations.
@@ -9,21 +9,38 @@
 #    code with side effects hidden inside assert(), and the one perf numbers
 #    should be quoted from (RelWithDebInfo, the developer default, is close
 #    but carries -g).
+#
+# Both build with -Werror: the tree compiles without a warning under -Wall
+# -Wextra, and a new warning fails CI.
 set -eu
 cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 4)"
 
-cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-debug -j"$jobs"
 ctest --test-dir build-debug --output-on-failure -j"$jobs"
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
-      -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG"
+      -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-release -j"$jobs"
 ctest --test-dir build-release --output-on-failure -j"$jobs"
 
-build-release/bench/wallclock --quick --json \
-    build-release/BENCH_wallclock_smoke.json
+# Same bytes through the repository benchmark: perfbench prints a digest of
+# every host's Netstat plus the simulated results, and each `digest` line of
+# scripts/perf_digests.txt must come out unchanged. The first run builds
+# .bench_build/. This runs before the sanitizer lanes so that a failure there
+# cannot hide it.
+while read -r tag workload seed want; do
+    [ "$tag" = digest ] || continue
+    python3 perfbench/run.py --workload "$workload" --seed "${seed#seed=}" \
+        --seconds 1 --trace 0 < /dev/null > build-release/perfbench.out
+    got=$(grep '^digest ' build-release/perfbench.out || true)
+    [ "$got" = "digest $workload $seed $want" ] || {
+        echo "ci: scripts/perf_digests.txt: expected '$tag $workload $seed $want'," \
+             "perfbench printed '${got:-no digest}'" >&2
+        exit 1
+    }
+done < scripts/perf_digests.txt
 
 # Same bytes: simulated results are deterministic, so regenerate each
 # committed simulated-result artifact in full (about 80 s together) and

@@ -4,9 +4,8 @@
 // once, at first use — after verifying the candidate bit-exact against
 // ones_sum_ref on a self-check corpus, so a miscompiled or misdetected kernel
 // can never corrupt a checksum (it silently drops to the next-narrower one).
-// This header exposes the individual kernels for benchmarks (per-impl GB/s
-// sweeps in bench/micro_checksum and bench/wallclock) and for the
-// property tests that pin scalar/SIMD agreement.
+// This header exposes the individual kernels for the property tests
+// (tests/test_checksum.cc) that check every kernel against the reference.
 #pragma once
 
 #include <cstddef>

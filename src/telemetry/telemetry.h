@@ -15,9 +15,9 @@
 //
 // Cost model: when telemetry is off there is no Telemetry object at all —
 // every instrumentation site guards on a null pointer in HostEnv (or the
-// engine), so the disabled cost is one predictable branch (asserted in
-// bench/wallclock). When on, span ops are an O(log n) map touch plus an
-// append; histogram records are O(1).
+// engine), so the disabled cost is one predictable branch. When on, span
+// ops are an O(log n) map touch plus an append; histogram records are O(1),
+// and perfbench's trace.overhead reports what a telemetry-on run costs.
 //
 // Key discipline: span keys must be globally unique per live span within a
 // stage. Producers with their own id counters (SDMA/MDMA requests, outboard

@@ -55,8 +55,9 @@ TEST_P(TcpReorder, OutOfOrderSegmentsReassemble) {
   ReorderRig rig(c.rate, sim::msec(c.hold_ms), c.seed);
   auto& ptx = rig.a.create_process("tx");
   auto& prx = rig.b.create_process("rx");
-  socket::Socket tx(rig.a.stack(), socket::Socket::Proto::kTcp,
-                    socket::SocketOptions{.policy = CopyPolicy::kAlwaysSingleCopy});
+  socket::SocketOptions single_copy;
+  single_copy.policy = CopyPolicy::kAlwaysSingleCopy;
+  socket::Socket tx(rig.a.stack(), socket::Socket::Proto::kTcp, single_copy);
   socket::Socket rx(rig.b.stack(), socket::Socket::Proto::kTcp);
   rx.listen(7200);
 
@@ -206,8 +207,9 @@ TEST(LossAndReorderTogether, SingleCopySurvivesBoth) {
 
   auto& ptx = a.create_process("tx");
   auto& prx = b.create_process("rx");
-  socket::Socket tx(a.stack(), socket::Socket::Proto::kTcp,
-                    socket::SocketOptions{.policy = CopyPolicy::kAlwaysSingleCopy});
+  socket::SocketOptions single_copy;
+  single_copy.policy = CopyPolicy::kAlwaysSingleCopy;
+  socket::Socket tx(a.stack(), socket::Socket::Proto::kTcp, single_copy);
   socket::Socket rx(b.stack(), socket::Socket::Proto::kTcp);
   rx.listen(7300);
   const std::size_t total = 1024 * 1024;

@@ -262,7 +262,10 @@ TEST_F(CabFixture, SmallPacketFullyAutoDmaed) {
                                               static_cast<std::uint32_t>(total - 60)});
   auto h = tx.nm().alloc(total);
   std::memcpy(tx.nm().bytes(*h, 0, total).data(), pkt.data(), total);
-  tx.mdma_xmit().post(MdmaXmit::Request{*h, total, {}});
+  MdmaXmit::Request req;
+  req.handle = *h;
+  req.len = total;
+  tx.mdma_xmit().post(std::move(req));
   simu.run();
 
   ASSERT_TRUE(got);
@@ -311,7 +314,10 @@ TEST_F(CabFixture, MdmaSnapshotIsolatesRetransmitRewrites) {
   hippi::write_header(pkt, hippi::FrameHeader{2, 1, hippi::kTypeIp, 0, 140});
   auto h = tx.nm().alloc(total);
   std::memcpy(tx.nm().bytes(*h, 0, total).data(), pkt.data(), total);
-  tx.mdma_xmit().post(MdmaXmit::Request{*h, total, {}});
+  MdmaXmit::Request req;
+  req.handle = *h;
+  req.len = total;
+  tx.mdma_xmit().post(std::move(req));
   // The MDMA snapshot happens at service start (already queued); mutate after
   // one engine step would be racy in real hardware — here we just verify the
   // delivered copy matches what was queued.

@@ -142,9 +142,12 @@ TEST_P(TcpLossSweep, TransfersIntactUnderLoss) {
   // something (at low rates a 1 MB transfer can sail through), and dropped
   // pure ACKs recover via later cumulative ACKs without retransmitting.
   ASSERT_NE(tb.lossy, nullptr);
-  if (c.rate >= 0.05) EXPECT_GT(tb.lossy->dropped(), 0u);
-  if (r.sender_tcp.rexmt_segs == 0 && r.sender_tcp.rexmt_timeouts == 0)
+  if (c.rate >= 0.05) {
+    EXPECT_GT(tb.lossy->dropped(), 0u);
+  }
+  if (r.sender_tcp.rexmt_segs == 0 && r.sender_tcp.rexmt_timeouts == 0) {
     EXPECT_LE(tb.lossy->dropped(), 60u);  // else something recovered wrongly
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -264,7 +267,9 @@ TEST_P(TsoCutFuzz, SavedSliceSumsMatchReference) {
       EXPECT_EQ(*s, sums[j]);
       // Misaligned or wrong-length lookups miss (fall back paths take over).
       EXPECT_FALSE(nm.seg_slice_sum(*h, base + off + 1, n));
-      if (n > 1) EXPECT_FALSE(nm.seg_slice_sum(*h, base + off, n - 1));
+      if (n > 1) {
+        EXPECT_FALSE(nm.seg_slice_sum(*h, base + off, n - 1));
+      }
       // Tail recombination: sums[j..] folded together must equal the oracle
       // over the raw tail bytes (this is the retransmit header-rewrite path).
       const auto tail = nm.tail_sum(*h, base + off);

@@ -136,8 +136,9 @@ TEST_F(InteropFixture, InKernelEchoOverCab) {
   const std::size_t total = 96 * 1024;
   auto client = [&]() -> sim::Task<void> {
     auto ctx = pa.ctx();
-    Socket c(tb.a->stack(), Socket::Proto::kTcp,
-             SocketOptions{.policy = CopyPolicy::kAlwaysSingleCopy});
+    SocketOptions single_copy;
+    single_copy.policy = CopyPolicy::kAlwaysSingleCopy;
+    Socket c(tb.a->stack(), Socket::Proto::kTcp, single_copy);
     const bool connected = co_await c.connect(ctx, Testbed::kIpB, 7007);
     EXPECT_TRUE(connected);
     if (!connected) {

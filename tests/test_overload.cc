@@ -308,7 +308,7 @@ TEST(OverloadEndToEnd, EcnMarksEchoAndHalveTheWindow) {
 TEST(OverloadEndToEnd, AdmissionGateDefersSyns) {
   Testbed tb(overloaded_opts(/*admission=*/true, /*ecn=*/false));
   auto& pa = tb.a->create_process("tx");
-  auto& pb = tb.b->create_process("rx");
+  tb.b->create_process("rx");
   socket::Socket c(tb.a->stack(), socket::Socket::Proto::kTcp);
   socket::Socket s(tb.b->stack(), socket::Socket::Proto::kTcp);
   s.listen(9000);

@@ -43,7 +43,9 @@ TEST(SynCookieCodec, RoundTripRandomTuples) {
     ASSERT_TRUE(d.valid) << "iteration " << i;
     // The encoded MSS is the peer's advertised MSS rounded down to a class
     // (floored at class 0 = 536 for sub-default advertisements).
-    if (mss >= SynCookieJar::kMssTable[0]) EXPECT_LE(d.mss, mss);
+    if (mss >= SynCookieJar::kMssTable[0]) {
+      EXPECT_LE(d.mss, mss);
+    }
     EXPECT_EQ(d.mss, SynCookieJar::kMssTable[SynCookieJar::mss_class(mss)]);
 
     // Any change to the tuple invalidates the MAC.

@@ -174,8 +174,9 @@ TEST_F(EdgeFixture, CorruptedSegmentDropsAndRecovers) {
 
   auto& ptx = ha.create_process("tx");
   auto& prx = hb.create_process("rx");
-  Socket c(ha.stack(), Socket::Proto::kTcp,
-           SocketOptions{.policy = CopyPolicy::kAlwaysSingleCopy});
+  SocketOptions single_copy;
+  single_copy.policy = CopyPolicy::kAlwaysSingleCopy;
+  Socket c(ha.stack(), Socket::Proto::kTcp, single_copy);
   Socket s(hb.stack(), Socket::Proto::kTcp);
   s.listen(7103);
   const std::size_t total = 512 * 1024;

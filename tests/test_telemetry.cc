@@ -123,7 +123,9 @@ TEST(LogHistogram, BucketEdgesRoundTrip) {
         ~0ull}) {
     const std::size_t idx = LogHistogram::bucket_index(v);
     EXPECT_LE(v, LogHistogram::bucket_upper(idx)) << v;
-    if (idx > 0) EXPECT_GT(v, LogHistogram::bucket_upper(idx - 1)) << v;
+    if (idx > 0) {
+      EXPECT_GT(v, LogHistogram::bucket_upper(idx - 1)) << v;
+    }
   }
 }
 
@@ -297,7 +299,9 @@ TEST(Telemetry, ChromeTraceIsWellFormed) {
       const std::string name = ev.find("name")->as_string();
       const double ts = ev.find("ts")->as_double();
       auto it = counter_last_ts.find(name);
-      if (it != counter_last_ts.end()) EXPECT_GT(ts, it->second) << name;
+      if (it != counter_last_ts.end()) {
+        EXPECT_GT(ts, it->second) << name;
+      }
       counter_last_ts[name] = ts;
     } else {
       FAIL() << "unexpected ph " << ph;
