@@ -12,7 +12,7 @@ std::uint32_t Simulator::acquire_slot(SmallFn fn) {
   std::uint32_t idx;
   if (free_head_ != kNoSlot) {
     idx = free_head_;
-    free_head_ = slots_[idx].next_free;
+    free_head_ = slots_[idx].link;
   } else {
     idx = static_cast<std::uint32_t>(slots_.size());
     if (idx >= kNoSlot >> 8)  // 24-bit heap-entry slot field
@@ -21,16 +21,16 @@ std::uint32_t Simulator::acquire_slot(SmallFn fn) {
   }
   Slot& s = slots_[idx];
   s.fn = std::move(fn);
-  s.state = SlotState::kPending;
+  s.inserted = now_;
+  s.link = kPending;
   return idx;
 }
 
 void Simulator::release_slot(std::uint32_t idx) noexcept {
   Slot& s = slots_[idx];
   s.fn.reset();
-  s.state = SlotState::kFree;
   ++s.gen;  // invalidate outstanding TimerHandles
-  s.next_free = free_head_;
+  s.link = free_head_;
   free_head_ = idx;
 }
 
@@ -80,7 +80,7 @@ void Simulator::purge_top() {
   if (tombstones_ == 0) return;  // common case: skip the slot-state probe
   while (!heap_.empty()) {
     const std::uint32_t slot = static_cast<std::uint32_t>(heap_.front().slot);
-    if (slots_[slot].state != SlotState::kCancelled) return;
+    if (slots_[slot].link != kCancelled) return;
     heap_pop();
     release_slot(slot);
     --tombstones_;
@@ -94,7 +94,7 @@ void Simulator::maybe_compact() {
   std::size_t keep = 0;
   for (const HeapEntry& e : heap_) {
     const std::uint32_t slot = static_cast<std::uint32_t>(e.slot);
-    if (slots_[slot].state == SlotState::kCancelled) {
+    if (slots_[slot].link == kCancelled) {
       release_slot(slot);
     } else {
       heap_[keep++] = e;
@@ -127,7 +127,7 @@ TimerHandle Simulator::timer_at(Time t, SmallFn fn) {
 
 void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   if (!slot_armed(slot, gen)) return;  // already fired / cancelled / recycled
-  slots_[slot].state = SlotState::kCancelled;
+  slots_[slot].link = kCancelled;
   // Release captured resources now, not at the (possibly distant) deadline.
   slots_[slot].fn.reset();
   ++cancelled_;
@@ -143,6 +143,7 @@ bool Simulator::step() {
   const HeapEntry e = heap_pop();
   const std::uint32_t slot = static_cast<std::uint32_t>(e.slot);
   now_ = e.t;
+  cur_inserted_ = slots_[slot].inserted;
   // Move the callback out and recycle the slot *before* invoking: the
   // callback may schedule (growing the slab) or re-arm into this very slot.
   SmallFn fn = std::move(slots_[slot].fn);

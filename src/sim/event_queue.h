@@ -122,15 +122,26 @@ class Simulator : public TimerBackend {
   // Slab high-water mark: slots ever allocated (== peak concurrent events).
   [[nodiscard]] std::size_t slots_allocated() const noexcept { return slots_.size(); }
 
+  // When the running event was scheduled: now() at its at()/timer_at() call.
+  // Same-time events run in scheduling order, so this tells a caller whether
+  // the running event would have run before or after an event it would
+  // have scheduled for now() at some earlier time.
+  [[nodiscard]] Time current_inserted() const noexcept { return cur_inserted_; }
+
  private:
-  enum class SlotState : std::uint8_t { kFree, kPending, kCancelled };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  // Slot::link values of a queued slot; a free slot's link is the next free
+  // slot (or kNoSlot). Slot indices fit in 24 bits, so these never collide.
+  static constexpr std::uint32_t kPending = 0xfffffffeu;
+  static constexpr std::uint32_t kCancelled = 0xfffffffdu;
 
   struct Slot {
     SmallFn fn;
+    Time inserted = 0;  // now() when scheduled
     std::uint32_t gen = 0;
-    std::uint32_t next_free = kNoSlot;
-    SlotState state = SlotState::kFree;
+    std::uint32_t link = kNoSlot;  // free-list link, kPending or kCancelled
   };
+  static_assert(sizeof(Slot) == sizeof(SmallFn) + 16);  // 80 bytes on x86-64
 
   struct HeapEntry {
     Time t;
@@ -138,8 +149,6 @@ class Simulator : public TimerBackend {
     std::uint64_t slot : 24;
   };
   static_assert(sizeof(HeapEntry) == 16);
-
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) noexcept {
     if (a.t != b.t) return a.t < b.t;
@@ -160,10 +169,11 @@ class Simulator : public TimerBackend {
   [[nodiscard]] bool slot_armed(std::uint32_t slot,
                                 std::uint32_t gen) const noexcept override {
     return slot < slots_.size() && slots_[slot].gen == gen &&
-           slots_[slot].state == SlotState::kPending;
+           slots_[slot].link == kPending;
   }
 
   Time now_ = 0;
+  Time cur_inserted_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t cancelled_ = 0;

@@ -178,10 +178,12 @@ class Condition {
 
   Awaiter wait() { return Awaiter{*this}; }
 
+  // Hands the waiter list to a spare buffer by swapping, so both buffers
+  // keep their capacity and a steady wait/notify cycle never allocates.
   void notify_all() {
-    auto ws = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : ws) sim_->after(0, [h] { h.resume(); });
+    waking_.swap(waiters_);
+    for (auto h : waking_) sim_->after(0, [h] { h.resume(); });
+    waking_.clear();
   }
 
   void notify_one() {
@@ -196,6 +198,7 @@ class Condition {
  private:
   Simulator* sim_;
   std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waking_;  // notify_all's spare buffer
 };
 
 }  // namespace nectar::sim

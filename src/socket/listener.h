@@ -40,6 +40,8 @@ class Listener {
   sim::Task<std::unique_ptr<Socket>> accept() {
     std::unique_ptr<Socket> sock = std::move(pending_.front());
     pending_.pop_front();
+    sock->set_ready_hook(nullptr);
+    if (hook_ != nullptr) hook_->ready_changed();  // a new oldest socket
     const bool ok = co_await sock->tcp().wait_established();
     rearm();
     if (!ok) co_return nullptr;
@@ -58,10 +60,18 @@ class Listener {
     return tp.ever_established() || tp.state() == net::TcpState::kClosed;
   }
 
+  // accept_ready() changes only when an embryonic socket's state does, so
+  // the hook is forwarded to every one of them (and to each replacement).
+  void set_ready_hook(ReadyHook* h) noexcept {
+    hook_ = h;
+    for (auto& s : pending_) s->set_ready_hook(h);
+  }
+
  private:
   void rearm() {
     auto s = std::make_unique<Socket>(stack_, Socket::Proto::kTcp, opts_);
     s->listen(port_);
+    s->set_ready_hook(hook_);
     pending_.push_back(std::move(s));
   }
 
@@ -70,6 +80,7 @@ class Listener {
   SocketOptions opts_;
   std::size_t backlog_;
   std::deque<std::unique_ptr<Socket>> pending_;
+  ReadyHook* hook_ = nullptr;
 };
 
 }  // namespace nectar::socket

@@ -25,6 +25,7 @@ Socket::Socket(net::NetStack& stack, Proto proto, SocketOptions opts)
 }
 
 Socket::~Socket() {
+  ready_changed();  // a waiter must not sleep on a socket that is gone
   if (uport_ != 0) stack_.udp().unbind(uport_);
   for (auto& d : dgrams_) stack_.env().pool.free_chain(d.data);
   if (tp_) {
@@ -65,6 +66,7 @@ void Socket::bind(std::uint16_t port) {
 void Socket::udp_deliver(Mbuf* data, net::IpAddr src, std::uint16_t sport) {
   dgrams_.push_back(Datagram{data, src, sport});
   readable_.notify_all();
+  ready_changed();
 }
 
 // ------------------------------------------------------- in-kernel (share)

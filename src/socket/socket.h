@@ -19,6 +19,7 @@
 // in the receive buffer is DMAed straight to the (pinned) user buffer.
 #pragma once
 
+#include <cassert>
 #include <deque>
 
 #include "mem/user_buffer.h"
@@ -52,6 +53,16 @@ struct SocketOptions {
   // push the short unaligned prefix through the copy path so the bulk of the
   // data can still go single-copy. Off by default, matching the paper.
   bool tx_align_fixup = false;
+};
+
+// Observer of one socket's readiness (the wload shim's blocked wpoll and
+// wclose). ready_changed() runs inside every event that may change what
+// recv_ready(), send_ready(), tx_drained() or the TCP state report, and
+// when the socket is destroyed.
+class ReadyHook {
+ public:
+  virtual ~ReadyHook() = default;
+  virtual void ready_changed() = 0;
 };
 
 class Socket final : public net::TcpCallbacks, public net::UdpSocketIface {
@@ -132,6 +143,12 @@ class Socket final : public net::TcpCallbacks, public net::UdpSocketIface {
            tp_->state() == net::TcpState::kClosed;
   }
 
+  // At most one hook per socket; pass nullptr to clear it.
+  void set_ready_hook(ReadyHook* h) noexcept {
+    assert(h == nullptr || hook_ == nullptr || hook_ == h);
+    hook_ = h;
+  }
+
   [[nodiscard]] net::TcpConnection& tcp() noexcept { return *tp_; }
   [[nodiscard]] net::NetStack& stack() noexcept { return stack_; }
   [[nodiscard]] Proto proto() const noexcept { return proto_; }
@@ -155,17 +172,28 @@ class Socket final : public net::TcpCallbacks, public net::UdpSocketIface {
   // TcpCallbacks
   net::Sockbuf& snd() override { return snd_; }
   net::Sockbuf& rcv() override { return rcv_; }
-  void notify_readable() override { readable_.notify_all(); }
-  void notify_writable() override { writable_.notify_all(); }
+  void notify_readable() override {
+    readable_.notify_all();
+    ready_changed();
+  }
+  void notify_writable() override {
+    writable_.notify_all();
+    ready_changed();
+  }
   void notify_state() override {
     readable_.notify_all();
     writable_.notify_all();
+    ready_changed();
   }
 
   // UdpSocketIface
   void udp_deliver(mbuf::Mbuf* data, net::IpAddr src, std::uint16_t sport) override;
 
  private:
+  void ready_changed() {
+    if (hook_ != nullptr) hook_->ready_changed();
+  }
+
   // sosend.cc
   [[nodiscard]] bool single_copy_eligible(const mem::Uio& data, net::IpAddr dst,
                                           std::size_t len);
@@ -197,6 +225,7 @@ class Socket final : public net::TcpCallbacks, public net::UdpSocketIface {
 
   sim::Condition readable_;
   sim::Condition writable_;
+  ReadyHook* hook_ = nullptr;
   mbuf::DmaSync tx_sync_;
   mbuf::DmaSync rx_sync_;
   std::vector<mem::Uio> pinned_rx_;  // user ranges pinned for in-flight copy-outs

@@ -1,8 +1,106 @@
 #include "wload/wsocket.h"
 
-#include <algorithm>
+#include <cassert>
+#include <coroutine>
+#include <cstdint>
+#include <span>
 
 namespace nectar::wload {
+
+// A blocked wpoll or wclose linger. It samples readiness where a loop of
+// kShimPollQuantum sleeps from the start of the wait would: on every grid
+// tick before the deadline, and at the deadline. Instead of running each
+// tick it sleeps until a watched fd reports a change, then resumes on the
+// first tick that would have seen the change. Readiness only changes inside
+// an event that reports it, so every tick skipped would have seen nothing
+// new.
+class Shim::Waiter {
+ public:
+  // timeout < 0: no deadline.
+  Waiter(Shim& sh, sim::Duration timeout)
+      : sh_(sh),
+        sim_(sh.sim()),
+        start_(sim_.now()),
+        deadline_(timeout < 0 ? kNever : start_ + timeout) {}
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
+  // Leaves every fd it watches, on every return path.
+  ~Waiter() {
+    tick_.cancel();
+    expiry_.cancel();
+    for (const WPollFd& p : polled_) {
+      if (Fd* e = sh_.slot(p.fd); e != nullptr && e->poller == this) e->poller = nullptr;
+    }
+    if (closing_ != nullptr) closing_->closer = nullptr;
+  }
+
+  // Be woken by changes on every fd of a wpoll set.
+  void watch(std::span<const WPollFd> fds) {
+    polled_ = fds;
+    for (const WPollFd& p : fds) {
+      Fd* e = sh_.slot(p.fd);
+      if (e == nullptr) continue;
+      assert(e->poller == nullptr || e->poller == this);
+      e->poller = this;
+    }
+  }
+  // Be woken by changes on the fd a wclose lingers on.
+  void watch_close(Fd& e) {
+    assert(e.closer == nullptr);
+    e.closer = this;
+    closing_ = &e;
+  }
+
+  [[nodiscard]] bool expired() const noexcept { return sim_.now() >= deadline_; }
+
+  // A watched fd's readiness may have changed in the running event.
+  void changed() {
+    if (tick_.armed()) return;
+    const sim::Time t = next_tick();
+    if (t >= deadline_) return;  // expiry_ samples the deadline
+    tick_ = sim_.timer_at(t, [this] { h_.resume(); });
+  }
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    h_ = h;
+    if (deadline_ != kNever && !expiry_.armed())
+      expiry_ = sim_.timer_at(deadline_, [this] { h_.resume(); });
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  static constexpr sim::Time kNever = INT64_MAX;
+
+  // The first grid tick that sees a change made now. The event queue runs
+  // same-time events in scheduling order, and tick k would have been
+  // scheduled when tick k - 1 ran, so a change exactly on tick k >= 1 is seen
+  // by it when the event making it was scheduled before tick k - 1's time.
+  // One made by an event scheduled at exactly that time counts as after.
+  [[nodiscard]] sim::Time next_tick() const {
+    const sim::Time now = sim_.now();
+    const sim::Duration since = now - start_;
+    if (since > 0 && since % kShimPollQuantum == 0 &&
+        sim_.current_inserted() < now - kShimPollQuantum)
+      return now;
+    return start_ + (since / kShimPollQuantum + 1) * kShimPollQuantum;
+  }
+
+  Shim& sh_;
+  sim::Simulator& sim_;
+  sim::Time start_;
+  sim::Time deadline_;
+  std::coroutine_handle<> h_;
+  sim::TimerHandle tick_;    // resume on the grid after a change
+  sim::TimerHandle expiry_;  // resume at the deadline
+  std::span<const WPollFd> polled_;
+  Fd* closing_ = nullptr;
+};
+
+void Shim::Fd::ready_changed() {
+  if (poller != nullptr) poller->changed();
+  if (closer != nullptr) closer->changed();
+}
 
 const char* werr_name(int e) noexcept {
   switch (e) {
@@ -23,36 +121,41 @@ Shim::Shim(core::Host& host, Options opts)
       proc_(&host.create_process(opts_.process_name)),
       fds_(kShimMaxFds) {}
 
-Shim::Fd* Shim::at(int fd) {
+Shim::Fd* Shim::slot(int fd) {
   if (fd < 0 || static_cast<std::size_t>(fd) >= fds_.size()) return nullptr;
-  Fd& e = fds_[static_cast<std::size_t>(fd)];
-  return e.used ? &e : nullptr;
+  return &fds_[static_cast<std::size_t>(fd)];
 }
 
-int Shim::wsocket() {
+Shim::Fd* Shim::at(int fd) {
+  Fd* e = slot(fd);
+  return e != nullptr && e->used ? e : nullptr;
+}
+
+int Shim::open_slot() {
   for (std::size_t i = 0; i < fds_.size(); ++i) {
     if (!fds_[i].used) {
-      fds_[i] = Fd{};
       fds_[i].used = true;
+      fds_[i].bound_port = 0;
       ++open_;
-      ++stats_.sockets;
       return static_cast<int>(i);
     }
   }
   return W_EMFILE;
 }
 
+int Shim::wsocket() {
+  const int fd = open_slot();
+  if (fd >= 0) ++stats_.sockets;
+  return fd;
+}
+
 int Shim::install(std::unique_ptr<socket::Socket> s) {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!fds_[i].used) {
-      fds_[i] = Fd{};
-      fds_[i].used = true;
-      fds_[i].sock = std::move(s);
-      ++open_;
-      return static_cast<int>(i);
-    }
-  }
-  return W_EMFILE;  // the socket is dropped; its teardown is the zombie path
+  const int fd = open_slot();
+  if (fd < 0) return fd;  // the socket is dropped; its teardown is the zombie path
+  Fd& e = fds_[static_cast<std::size_t>(fd)];
+  s->set_ready_hook(&e);
+  e.sock = std::move(s);
+  return fd;
 }
 
 int Shim::wbind(int fd, std::uint16_t port) {
@@ -70,6 +173,7 @@ int Shim::wlisten(int fd, int backlog) {
   if (e->bound_port == 0) return W_EINVAL;  // wbind first (no port 0 service)
   e->lst = std::make_unique<socket::Listener>(host_.stack(), e->bound_port,
                                               opts_.socket, backlog);
+  e->lst->set_ready_hook(e);
   return 0;
 }
 
@@ -110,7 +214,9 @@ sim::Task<int> Shim::wconnect(int fd, net::IpAddr addr, std::uint16_t port) {
     ++stats_.connect_refused;
     co_return W_ECONNREFUSED;
   }
+  s->set_ready_hook(e);
   e->sock = std::move(s);
+  e->ready_changed();  // an unconnected fd was never ready
   co_return 0;
 }
 
@@ -145,14 +251,18 @@ sim::Task<int> Shim::wclose(int fd) {
     // un-ACKed send-buffer tail would otherwise be silently dropped — a
     // passive reader (a wpoll multiplexer busy with other fds) would then
     // wait forever for bytes that no longer exist.
-    const sim::Time give_up = host_.sim().now() + kShimCloseLinger;
-    while (!e->sock->tx_drained() && host_.sim().now() < give_up)
-      co_await sim::delay(host_.sim(), kShimPollQuantum);
+    Waiter w(*this, kShimCloseLinger);
+    w.watch_close(*e);
+    while (!e->sock->tx_drained() && !w.expired()) co_await w;
   }
   // Destroying the Socket/Listener releases the slot; in-flight protocol
-  // work (FIN exchange tail) continues on the stack's zombie list.
-  *e = Fd{};
+  // work (FIN exchange tail) continues on the stack's zombie list. A wpoll
+  // still waiting on this fd number reports WPOLLNVAL at its next tick.
+  e->used = false;
+  e->sock.reset();
+  e->lst.reset();
   --open_;
+  e->ready_changed();
   co_return 0;
 }
 
@@ -174,8 +284,7 @@ short Shim::readiness(const WPollFd& p) {
 
 sim::Task<int> Shim::wpoll(WPollFd* fds, std::size_t nfds, sim::Duration timeout) {
   ++stats_.polls;
-  const sim::Time deadline =
-      timeout < 0 ? 0 : host_.sim().now() + timeout;  // 0 unused when infinite
+  Waiter w(*this, timeout);
   for (;;) {
     int ready = 0;
     for (std::size_t i = 0; i < nfds; ++i) {
@@ -184,13 +293,12 @@ sim::Task<int> Shim::wpoll(WPollFd* fds, std::size_t nfds, sim::Duration timeout
     }
     if (ready > 0) co_return ready;
     if (timeout == 0) co_return 0;
-    if (timeout > 0 && host_.sim().now() >= deadline) {
+    if (w.expired()) {
       ++stats_.poll_timeouts;
       co_return 0;
     }
-    sim::Duration step = kShimPollQuantum;
-    if (timeout > 0) step = std::min(step, deadline - host_.sim().now());
-    co_await sim::delay(host_.sim(), step);
+    w.watch({fds, nfds});
+    co_await w;
   }
 }
 

@@ -11,9 +11,14 @@
 // exception — so shim programs read like the C programs they stand in for.
 //
 // Scope: TCP streams only (the workloads this frontend exists for are
-// request/response and bulk flows); wpoll is level-triggered and readiness
-// is re-evaluated every poll quantum of simulated time, which bounds the
-// poll granularity but keeps multi-fd waiting deterministic.
+// request/response and bulk flows). wpoll is level-triggered. A blocked
+// wpoll, and wclose's linger, observe readiness on a grid of
+// kShimPollQuantum steps starting at the call time (for wclose, when the
+// linger starts) plus the deadline, as a loop of kShimPollQuantum sleeps
+// would, which keeps multi-fd waiting deterministic. Between readiness
+// changes they sleep: a change reported by the socket layer wakes the
+// waiter on the first grid tick that would have seen it, and the ticks in
+// between are never run.
 #pragma once
 
 #include <memory>
@@ -49,8 +54,8 @@ struct WPollFd {
 
 // The fd table's size: wsocket returns W_EMFILE once every slot is open.
 inline constexpr std::size_t kShimMaxFds = 512;
-// wpoll re-evaluates readiness on this simulated-time grain when nothing is
-// ready yet.
+// The grid a blocked wpoll or wclose observes readiness on: call time +
+// k * kShimPollQuantum.
 inline constexpr sim::Duration kShimPollQuantum = sim::usec(20);
 // wclose lingers up to this long for the peer to ACK everything wsend
 // accepted (releasing the Socket earlier would discard the un-ACKed tail of
@@ -89,13 +94,14 @@ class Shim {
   sim::Task<long> wsend(int fd, mem::Uio data);
   // Blocking stream read; returns bytes read, 0 at EOF.
   sim::Task<long> wrecv(int fd, mem::Uio dst);
-  // Close and release the fd. Streams get an orderly FIN handshake start;
-  // protocol stragglers are the stack's zombie machinery's problem, as for
-  // any socket teardown.
+  // Close and release the fd. Streams get an orderly FIN handshake start,
+  // then linger (up to kShimCloseLinger) until the peer has ACKed every
+  // byte wsend accepted; protocol stragglers are the stack's zombie
+  // machinery's problem, as for any socket teardown.
   sim::Task<int> wclose(int fd);
   // Level-triggered readiness over up to `nfds` descriptors. Returns the
   // number of fds with nonzero revents, 0 on timeout (timeout < 0 = wait
-  // forever, 0 = nonblocking probe).
+  // forever, 0 = nonblocking probe). At most one wpoll may wait on an fd.
   sim::Task<int> wpoll(WPollFd* fds, std::size_t nfds, sim::Duration timeout);
 
   // ------------------------------------------------------------- utilities
@@ -125,16 +131,29 @@ class Shim {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  class Waiter;
+
   // One fd table slot. Exactly one of {sock, lst} is set once the fd has
-  // been connected/listened; both empty = fresh socket (bind-able).
-  struct Fd {
+  // been connected/listened; both empty = fresh socket (bind-able). The
+  // slot is the ready hook of its socket or listener and passes every
+  // change on to the wpoll and the wclose blocked on this fd number.
+  struct Fd final : socket::ReadyHook {
+    // Declared before sock and lst: destroying those calls ready_changed().
+    Waiter* poller = nullptr;
+    Waiter* closer = nullptr;
     bool used = false;
     std::uint16_t bound_port = 0;
     std::unique_ptr<socket::Socket> sock;
     std::unique_ptr<socket::Listener> lst;
+    void ready_changed() override;
   };
 
+  // The slot of fd number `fd`, open or not (nullptr out of range).
+  [[nodiscard]] Fd* slot(int fd);
+  // The slot of an open fd, or nullptr.
   [[nodiscard]] Fd* at(int fd);
+  // Claim the lowest free slot: its fd, or W_EMFILE.
+  int open_slot();
   int install(std::unique_ptr<socket::Socket> s);
   // revents for one slot right now (0 = nothing).
   [[nodiscard]] short readiness(const WPollFd& p);

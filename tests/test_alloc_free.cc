@@ -1,12 +1,12 @@
-// Steady-state allocation contract: once the event core, the timer wheel, the
-// mbuf pool and the demux table have grown to their high-water marks, they
-// recycle their own storage and never reach operator new. Each test warms its
-// structure up, then counts operator new calls over at least 100 000
-// operations and requires zero.
+// Steady-state allocation contract: once the event core, the timer wheel,
+// sim::Condition, the mbuf pool and the demux table have grown to their
+// high-water marks, they recycle their own storage and never reach operator
+// new. Each test warms its structure up, then counts operator new calls over
+// at least 100 000 operations and requires zero.
 //
 // This file replaces the global operator new with a counting one, which is
 // why it is a binary of its own (nectar_alloc_tests). The contract covers
-// these four structures only: the per-packet datapath above them (CPU
+// these five structures only: the per-packet datapath above them (CPU
 // charges, CAB DMA requests, page pinning) still allocates.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "net/netstack.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
+#include "sim/task.h"
 #include "sim/timer_wheel.h"
 
 namespace {
@@ -151,6 +152,38 @@ TEST(AllocFree, TimerWheelScheduleCancelFire) {
   EXPECT_GE(c.ops - ops0, kOps);
   EXPECT_GT(c.w.stats().cascaded, cascaded0);
   EXPECT_EQ(c.w.pending(), 2 * kTimers);
+}
+
+// Four coroutines wait on one Condition; each round notifies them all and
+// runs their resumptions, so every round empties and refills the waiter
+// list.
+TEST(AllocFree, ConditionWaitNotify) {
+  sim::Simulator s;
+  sim::Condition c(s);
+  std::uint64_t wakes = 0;
+  bool stop = false;
+  auto waiter = [](sim::Condition& cond, std::uint64_t& n,
+                   const bool& halt) -> sim::Task<void> {
+    while (!halt) {
+      co_await cond.wait();
+      ++n;
+    }
+  };
+  constexpr int kWaiters = 4;
+  for (int i = 0; i < kWaiters; ++i) sim::spawn(waiter(c, wakes, stop));
+  const auto round = [&] {
+    c.notify_all();
+    s.run();
+  };
+  for (int i = 0; i < 16; ++i) round();
+
+  const std::uint64_t before = news();
+  while (wakes < kOps) round();
+  EXPECT_EQ(news() - before, 0u);
+  EXPECT_EQ(c.waiting(), static_cast<std::size_t>(kWaiters));
+  stop = true;
+  round();  // let the coroutines finish and free their frames
+  EXPECT_EQ(c.waiting(), 0u);
 }
 
 TEST(AllocFree, MbufPoolGetFreeClusterAndChain) {

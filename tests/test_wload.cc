@@ -4,7 +4,12 @@
 // what one side sent is exactly what the other side counted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "apps/ttcp.h"
 #include "core/multi_testbed.h"
@@ -144,6 +149,321 @@ TEST(Wload, WpollTimeoutAndBadFd) {
     EXPECT_GE(tb.sim.now() - t1, sim::msec(10.0));
     EXPECT_EQ(sa.stats().poll_timeouts, 1u);
     co_await sa.wclose(fd);
+    done = true;
+  };
+  sim::spawn(run());
+  ASSERT_TRUE(tb.run_until_done(done, sim::kSecond));
+}
+
+// The blocking waits against an oracle: wpoll as a loop of zero-timeout
+// probes and kShimPollQuantum sleeps (the last one cut short at the
+// deadline), and wclose's linger as a loop over Socket::tx_drained(). The
+// blocking calls sleep between readiness changes, and must still return at
+// exactly the simulated times the loops do.
+sim::Task<int> grid_wpoll(wload::Shim& sh, wload::WPollFd* fds, std::size_t n,
+                          sim::Duration timeout) {
+  const sim::Time deadline = sh.sim().now() + timeout;
+  for (;;) {
+    const int r = co_await sh.wpoll(fds, n, 0);
+    if (r > 0 || sh.sim().now() >= deadline) co_return r;
+    co_await sim::delay(sh.sim(),
+                        std::min(wload::kShimPollQuantum, deadline - sh.sim().now()));
+  }
+}
+
+// Run until `finished` reaches `n`, then let the last FIN and ACK packets
+// land so that teardown leaves no mbuf in flight.
+void run_scenario(core::Testbed& tb, const int& finished, int n, sim::Duration limit) {
+  EXPECT_TRUE(tb.run_until_done([&] { return finished == n; }, limit));
+  tb.sim.run_until(tb.sim.now() + sim::kSecond);
+}
+
+sim::Task<int> poll_with(bool oracle, wload::Shim& sh, wload::WPollFd* fds,
+                         std::size_t n, sim::Duration timeout) {
+  if (oracle) co_return co_await grid_wpoll(sh, fds, n, timeout);
+  co_return co_await sh.wpoll(fds, n, timeout);
+}
+
+// Every wpoll return as (time, result, revents) and every accept as
+// (time, fd, 0), from an accept loop on host B with 130 us, 200 us and 1 ms
+// timeouts while host A connects at staggered offsets.
+std::vector<std::tuple<sim::Time, int, short>> accept_loop_log(bool oracle) {
+  core::Testbed tb;
+  wload::Shim sa(*tb.a);
+  wload::Shim sb(*tb.b);
+  constexpr int kConns = 6;
+  std::vector<std::tuple<sim::Time, int, short>> log;
+  int finished = 0;
+  auto server = [&]() -> sim::Task<void> {
+    const int lfd = sb.wsocket();
+    sb.wbind(lfd, 7000);
+    sb.wlisten(lfd, 2);
+    const sim::Duration timeouts[] = {sim::usec(130), sim::usec(200), sim::msec(1.0)};
+    for (std::size_t i = 0, accepted = 0; accepted < kConns; ++i) {
+      wload::WPollFd p{lfd, wload::WPOLLIN, 0};
+      const int r = co_await poll_with(oracle, sb, &p, 1, timeouts[i % 3]);
+      log.emplace_back(tb.sim.now(), r, p.revents);
+      if (r <= 0) continue;
+      const int cfd = co_await sb.waccept(lfd);
+      log.emplace_back(tb.sim.now(), cfd, 0);
+      ++accepted;
+      co_await sb.wclose(cfd);
+    }
+    co_await sb.wclose(lfd);
+    ++finished;
+  };
+  auto client = [&](sim::Duration start) -> sim::Task<void> {
+    co_await sim::delay(tb.sim, start);
+    const int fd = sa.wsocket();
+    EXPECT_EQ(co_await sa.wconnect(fd, core::Testbed::kIpB, 7000), 0);
+    co_await sa.wclose(fd);
+    ++finished;
+  };
+  sim::spawn(server());
+  for (int k = 0; k < kConns; ++k) sim::spawn(client(sim::usec(37 + 613 * k * k)));
+  run_scenario(tb, finished, kConns + 1, 10 * sim::kSecond);
+  return log;
+}
+
+TEST(Wload, WpollAcceptLoopMatchesGridOracle) {
+  const auto oracle = accept_loop_log(true);
+  const auto blocking = accept_loop_log(false);
+  ASSERT_GT(oracle.size(), 12u);  // six accepts plus at least one timeout
+  EXPECT_EQ(blocking, oracle);
+}
+
+// Host B polls an accepted stream for WPOLLIN with 130 us, 90 us and 1 ms
+// timeouts while host A sends 16 bytes twice, then closes (WPOLLHUP).
+std::vector<std::tuple<sim::Time, int, short>> timeout_log(bool oracle) {
+  core::Testbed tb;
+  wload::Shim sa(*tb.a);
+  wload::Shim sb(*tb.b);
+  std::vector<std::tuple<sim::Time, int, short>> log;
+  int finished = 0;
+  auto server = [&]() -> sim::Task<void> {
+    const int lfd = sb.wsocket();
+    sb.wbind(lfd, 7001);
+    sb.wlisten(lfd, 1);
+    const int cfd = co_await sb.waccept(lfd);
+    mem::UserBuffer buf = sb.walloc(64);
+    const sim::Duration timeouts[] = {sim::usec(130), sim::usec(90), sim::msec(1.0)};
+    for (std::size_t i = 0;; ++i) {
+      wload::WPollFd p{cfd, wload::WPOLLIN, 0};
+      const int r = co_await poll_with(oracle, sb, &p, 1, timeouts[i % 3]);
+      log.emplace_back(tb.sim.now(), r, p.revents);
+      if (r <= 0) continue;
+      if (co_await sb.wrecv(cfd, buf.as_uio()) <= 0) break;
+    }
+    co_await sb.wclose(cfd);
+    co_await sb.wclose(lfd);
+    ++finished;
+  };
+  auto client = [&]() -> sim::Task<void> {
+    const int fd = sa.wsocket();
+    EXPECT_EQ(co_await sa.wconnect(fd, core::Testbed::kIpB, 7001), 0);
+    mem::UserBuffer msg = sa.walloc(16);
+    for (const double ms : {0.77, 2.9}) {
+      co_await sim::delay(tb.sim, sim::msec(ms));
+      EXPECT_EQ(co_await sa.wsend(fd, msg.as_uio()), 16);
+    }
+    co_await sim::delay(tb.sim, sim::msec(1.7));
+    co_await sa.wclose(fd);
+    ++finished;
+  };
+  sim::spawn(server());
+  sim::spawn(client());
+  run_scenario(tb, finished, 2, 10 * sim::kSecond);
+  return log;
+}
+
+TEST(Wload, WpollTimeoutsMatchGridOracle) {
+  const auto oracle = timeout_log(true);
+  const auto blocking = timeout_log(false);
+  const auto timeouts = std::count_if(oracle.begin(), oracle.end(),
+                                      [](const auto& e) { return std::get<1>(e) == 0; });
+  EXPECT_GT(timeouts, 5);
+  EXPECT_EQ(blocking, oracle);
+}
+
+// Host A writes 2 MiB in one coroutine while another polls the same fd for
+// WPOLLOUT with a 1 ms timeout (pausing 110 us after each ready return),
+// and host B reads 8 KiB every 0.9 ms, so send space opens one ACK at a
+// time. The writer's close ends the polling with WPOLLNVAL.
+std::vector<std::tuple<sim::Time, int, short>> writable_log(bool oracle) {
+  constexpr std::size_t kBytes = 2 * 1024 * 1024;  // 4x the send buffer
+  core::Testbed tb;
+  wload::Shim sa(*tb.a);
+  wload::Shim sb(*tb.b);
+  std::vector<std::tuple<sim::Time, int, short>> log;
+  int fd = -1;
+  int finished = 0;
+  auto writer = [&]() -> sim::Task<void> {
+    fd = sa.wsocket();
+    EXPECT_EQ(co_await sa.wconnect(fd, core::Testbed::kIpB, 7004), 0);
+    mem::UserBuffer buf = sa.walloc(kBytes);
+    EXPECT_EQ(co_await sa.wsend(fd, buf.as_uio()), static_cast<long>(kBytes));
+    co_await sa.wclose(fd);
+    ++finished;
+  };
+  auto poller = [&]() -> sim::Task<void> {
+    for (;;) {
+      wload::WPollFd p{fd, wload::WPOLLOUT, 0};
+      const int r = co_await poll_with(oracle, sa, &p, 1, sim::msec(1.0));
+      log.emplace_back(tb.sim.now(), r, p.revents);
+      if (p.revents == wload::WPOLLNVAL) break;
+      if (r > 0) co_await sim::delay(tb.sim, sim::usec(110));
+    }
+    ++finished;
+  };
+  auto reader = [&]() -> sim::Task<void> {
+    const int lfd = sb.wsocket();
+    sb.wbind(lfd, 7004);
+    sb.wlisten(lfd, 1);
+    const int cfd = co_await sb.waccept(lfd);
+    mem::UserBuffer buf = sb.walloc(8 * 1024);
+    while (co_await sb.wrecv(cfd, buf.as_uio()) > 0)
+      co_await sim::delay(tb.sim, sim::msec(0.9));
+    co_await sb.wclose(cfd);
+    co_await sb.wclose(lfd);
+    ++finished;
+  };
+  sim::spawn(reader());
+  sim::spawn(writer());
+  sim::spawn(poller());
+  run_scenario(tb, finished, 3, 60 * sim::kSecond);
+  return log;
+}
+
+TEST(Wload, WpollWritableMatchesGridOracle) {
+  const auto oracle = writable_log(true);
+  const auto blocking = writable_log(false);
+  const auto writable = std::count_if(oracle.begin(), oracle.end(), [](const auto& e) {
+    return std::get<2>(e) == wload::WPOLLOUT;
+  });
+  EXPECT_GT(writable, 5);
+  EXPECT_EQ(std::get<2>(oracle.back()), wload::WPOLLNVAL);
+  EXPECT_EQ(blocking, oracle);
+}
+
+// A server on host B writes 256 KiB and closes while host A reads 8 KiB
+// every 1.3 ms, so the close lingers behind the slow reader. Returns when
+// the close returned and when the reader saw EOF. The oracle runs the same
+// server on socket::Listener and socket::Socket, as the shim does, and
+// lingers by polling tx_drained() every kShimPollQuantum.
+std::pair<sim::Time, sim::Time> lingering_close_times(bool oracle) {
+  constexpr std::size_t kBytes = 256 * 1024;
+  core::Testbed tb;
+  wload::Shim sa(*tb.a);
+  std::unique_ptr<wload::Shim> sb;
+  core::Host::Process* proc = nullptr;
+  if (oracle) proc = &tb.b->create_process("wload");
+  else sb = std::make_unique<wload::Shim>(*tb.b);
+  sim::Time closed = 0;
+  sim::Time eof = 0;
+  int finished = 0;
+  auto server = [&]() -> sim::Task<void> {
+    if (oracle) {
+      socket::Listener lst(tb.b->stack(), 7002, {}, 1);
+      std::unique_ptr<socket::Socket> s = co_await lst.accept();
+      mem::UserBuffer buf(proc->as, kBytes);
+      auto ctx = proc->ctx();
+      EXPECT_EQ(co_await s->send(ctx, buf.as_uio()), kBytes);
+      co_await s->close(ctx);
+      const sim::Time give_up = tb.sim.now() + wload::kShimCloseLinger;
+      while (!s->tx_drained() && tb.sim.now() < give_up)
+        co_await sim::delay(tb.sim, wload::kShimPollQuantum);
+    } else {
+      const int lfd = sb->wsocket();
+      sb->wbind(lfd, 7002);
+      sb->wlisten(lfd, 1);
+      const int cfd = co_await sb->waccept(lfd);
+      mem::UserBuffer buf = sb->walloc(kBytes);
+      EXPECT_EQ(co_await sb->wsend(cfd, buf.as_uio()), static_cast<long>(kBytes));
+      co_await sb->wclose(cfd);
+      co_await sb->wclose(lfd);
+    }
+    closed = tb.sim.now();
+    ++finished;
+  };
+  auto reader = [&]() -> sim::Task<void> {
+    const int fd = sa.wsocket();
+    EXPECT_EQ(co_await sa.wconnect(fd, core::Testbed::kIpB, 7002), 0);
+    mem::UserBuffer buf = sa.walloc(8 * 1024);
+    std::size_t got = 0;
+    for (;;) {
+      co_await sim::delay(tb.sim, sim::msec(1.3));
+      const long n = co_await sa.wrecv(fd, buf.as_uio());
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    EXPECT_EQ(got, kBytes);
+    eof = tb.sim.now();
+    co_await sa.wclose(fd);
+    ++finished;
+  };
+  sim::spawn(server());
+  sim::spawn(reader());
+  run_scenario(tb, finished, 2, 60 * sim::kSecond);
+  return {closed, eof};
+}
+
+TEST(Wload, WcloseLingerMatchesGridOracle) {
+  const auto oracle = lingering_close_times(true);
+  const auto blocking = lingering_close_times(false);
+  EXPECT_GT(oracle.first, sim::msec(10.0));  // it did linger behind the reader
+  EXPECT_EQ(blocking, oracle);
+}
+
+TEST(Wload, IdleWpollSleepsUntilItsDeadline) {
+  core::Testbed tb;
+  wload::Shim sa(*tb.a);
+  std::uint64_t events = 0;
+  bool done = false;
+  auto run = [&]() -> sim::Task<void> {
+    const int fd = sa.wsocket();  // open but unconnected: never ready
+    wload::WPollFd p{fd, wload::WPOLLIN, 0};
+    const sim::Time t0 = tb.sim.now();
+    const std::uint64_t e0 = tb.sim.events_processed();
+    EXPECT_EQ(co_await sa.wpoll(&p, 1, sim::msec(10.0)), 0);
+    events = tb.sim.events_processed() - e0;
+    EXPECT_EQ(tb.sim.now() - t0, sim::msec(10.0));
+    co_await sa.wclose(fd);
+    done = true;
+  };
+  sim::spawn(run());
+  ASSERT_TRUE(tb.run_until_done(done, sim::kSecond));
+  // A loop of kShimPollQuantum sleeps takes 500 events for the same call.
+  EXPECT_LE(events, 3u);
+}
+
+TEST(Wload, FdClosedDuringWpollIsNvalAtTheNextTick) {
+  core::Testbed tb;
+  wload::Shim sb(*tb.b);
+  bool done = false;
+  auto closer = [&](int fd, sim::Duration after) -> sim::Task<void> {
+    co_await sim::delay(tb.sim, after);
+    EXPECT_EQ(co_await sb.wclose(fd), 0);
+  };
+  auto run = [&]() -> sim::Task<void> {
+    // Closed between ticks 2 and 3, and exactly on tick 3 by an event
+    // scheduled before the wpoll call (so tick 3 already sees it).
+    for (const sim::Duration after : {sim::usec(53), 3 * wload::kShimPollQuantum}) {
+      const int lfd = sb.wsocket();
+      sb.wbind(lfd, 7003);
+      sb.wlisten(lfd, 2);
+      const int fresh = sb.wsocket();
+      // A listener (its embryonic sockets are destroyed) and an fd that
+      // never had a socket.
+      for (const int fd : {lfd, fresh}) {
+        wload::WPollFd p{fd, wload::WPOLLIN, 0};
+        const sim::Time t0 = tb.sim.now();
+        sim::spawn(closer(fd, after));
+        EXPECT_EQ(co_await sb.wpoll(&p, 1, sim::msec(10.0)), 1);
+        EXPECT_EQ(p.revents, wload::WPOLLNVAL);
+        EXPECT_EQ(tb.sim.now() - t0, 3 * wload::kShimPollQuantum);
+      }
+      EXPECT_EQ(sb.open_fds(), 0u);
+    }
     done = true;
   };
   sim::spawn(run());
