@@ -45,8 +45,10 @@ done < scripts/perf_digests.txt
 # Same bytes: simulated results are deterministic, so regenerate each
 # committed simulated-result artifact in full (about 80 s together) and
 # require every simulated field to match the committed copy. bench_diff.py
-# skips the host-time fields (wall time, events/s, RSS).
-for b in latency_profile:latency offload_sweep:offload workload:workload \
+# skips the host-time fields (wall time, events/s, RSS). The paper's Figures
+# 5 and 6 come first (under 2 s together).
+for b in fig5_alpha400:fig5_alpha400 fig6_alpha300:fig6_alpha300 \
+         latency_profile:latency offload_sweep:offload workload:workload \
          overload:overload fault_recovery:fault_recovery \
          flow_scaling:flow_scaling; do
     bin=${b%%:*}

@@ -102,15 +102,19 @@ void SdmaEngine::execute(SdmaRequest& r) {
   }
   std::size_t total = 0;
   for (const auto& seg : r.segs) total += seg.bytes.size();
+  const bool to_cab = r.dir == SdmaRequest::Dir::kToCab;
+  (to_cab ? stats_.bytes_to_cab : stats_.bytes_from_cab) += total;
+  auto outboard = nm_.bytes(r.handle, r.cab_off, total);
+  std::size_t pos = 0;
+  for (const auto& seg : r.segs) {
+    if (to_cab)
+      std::memcpy(outboard.data() + pos, seg.bytes.data(), seg.bytes.size());
+    else
+      std::memcpy(seg.bytes.data(), outboard.data() + pos, seg.bytes.size());
+    pos += seg.bytes.size();
+  }
 
-  if (r.dir == SdmaRequest::Dir::kToCab) {
-    stats_.bytes_to_cab += total;
-    auto dst = nm_.bytes(r.handle, r.cab_off, total);
-    std::size_t pos = 0;
-    for (const auto& seg : r.segs) {
-      std::memcpy(dst.data() + pos, seg.bytes.data(), seg.bytes.size());
-      pos += seg.bytes.size();
-    }
+  if (to_cab) {
     if (r.csum_enable && r.body_sum_only) {
       // Staging: the packet body flows outboard before its headers exist;
       // save its checksum for the header SDMA that follows (§4.3). For
@@ -118,20 +122,16 @@ void SdmaEngine::execute(SdmaRequest& r) {
       // MDMA fan-out can checksum each wire segment — same bytes through the
       // summation unit either way, just checkpointed at slice boundaries.
       if (r.seg_stride > 0) {
-        std::vector<std::uint32_t> sums;
-        std::uint32_t body = 0;
-        std::size_t off = 0;
-        while (off < dst.size()) {
-          const std::size_t n = std::min<std::size_t>(r.seg_stride, dst.size() - off);
-          const std::uint32_t s = csum_.sum_from(dst.subspan(off, n), 0);
-          body = checksum::combine(body, s, off);
-          sums.push_back(s);
-          off += n;
-        }
-        nm_.set_seg_sums(r.handle, r.cab_off, r.seg_stride, dst.size(), std::move(sums));
-        nm_.set_body_sum(r.handle, body);
+        const std::span<const std::byte> stream = outboard;
+        auto ss = checksum::slice_sums({&stream, 1}, r.seg_stride,
+                                       [this](std::span<const std::byte> b) {
+                                         return csum_.sum_from(b, 0);
+                                       });
+        nm_.set_seg_sums(r.handle, r.cab_off, r.seg_stride, outboard.size(),
+                         std::move(ss.slices));
+        nm_.set_body_sum(r.handle, ss.body);
       } else {
-        nm_.set_body_sum(r.handle, csum_.sum_from(dst, r.skip_words));
+        nm_.set_body_sum(r.handle, csum_.sum_from(outboard, r.skip_words));
       }
       return;
     }
@@ -166,20 +166,12 @@ void SdmaEngine::execute(SdmaRequest& r) {
           }
         }
       } else {
-        body = csum_.sum_from(dst, r.skip_words);
+        body = csum_.sum_from(outboard, r.skip_words);
         nm_.set_body_sum(r.handle, body);
       }
       auto field = nm_.bytes(r.handle, r.cab_off + r.csum_offset, 2);
       const std::uint16_t seed = wire::load_be16(field.data());
       wire::store_be16(field.data(), ChecksumEngine::finish_with_seed(seed, body));
-    }
-  } else {
-    stats_.bytes_from_cab += total;
-    auto src = nm_.bytes(r.handle, r.cab_off, total);
-    std::size_t pos = 0;
-    for (const auto& seg : r.segs) {
-      std::memcpy(seg.bytes.data(), src.data() + pos, seg.bytes.size());
-      pos += seg.bytes.size();
     }
   }
 }

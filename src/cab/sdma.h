@@ -31,10 +31,7 @@ class Telemetry;
 
 namespace nectar::cab {
 
-struct SdmaSeg {
-  mem::VAddr vaddr = 0;          // simulated host address (alignment checks)
-  std::span<std::byte> bytes;    // resolved host memory
-};
+using SdmaSeg = mem::HostSeg;
 
 struct SdmaRequest {
   enum class Dir { kToCab, kFromCab };

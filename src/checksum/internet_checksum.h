@@ -16,9 +16,11 @@
 //    transmitted checksum + pseudo-header) == 0.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace nectar::checksum {
 
@@ -63,6 +65,44 @@ constexpr std::uint32_t byteswap_sum(std::uint32_t sum) noexcept {
 constexpr std::uint32_t combine(std::uint32_t a, std::uint32_t b,
                                 std::size_t a_len) noexcept {
   return a + ((a_len % 2 != 0) ? byteswap_sum(b) : b);
+}
+
+// Slice sums of a large-segment staging (§4.3): the partial sum of every
+// consecutive `stride`-byte slice of the stream that `pieces` form in order
+// (the last slice may be short; stride 0 makes the whole stream one slice),
+// and the sum of the whole stream combined from the slices. `sum` gives the
+// partial sum of one contiguous range: the CAB's summation unit, or
+// ones_sum for the driver's software fallback.
+struct SliceSums {
+  std::uint32_t body = 0;
+  std::vector<std::uint32_t> slices;
+};
+
+template <typename Sum>
+SliceSums slice_sums(std::span<const std::span<const std::byte>> pieces,
+                     std::size_t stride, Sum&& sum) {
+  SliceSums out;
+  std::size_t off = 0;  // stream offset of the open slice
+  std::uint32_t cur = 0;
+  std::size_t cur_len = 0;
+  auto close = [&] {
+    out.body = combine(out.body, cur, off);
+    out.slices.push_back(cur);
+    off += cur_len;
+    cur = 0;
+    cur_len = 0;
+  };
+  for (std::span<const std::byte> p : pieces) {
+    while (!p.empty()) {
+      const std::size_t n = stride == 0 ? p.size() : std::min(p.size(), stride - cur_len);
+      cur = combine(cur, sum(p.first(n)), cur_len);
+      cur_len += n;
+      p = p.subspan(n);
+      if (cur_len == stride) close();
+    }
+  }
+  if (cur_len > 0) close();
+  return out;
 }
 
 // TCP/UDP pseudo-header (RFC 793 / RFC 768) partial sum.

@@ -1,7 +1,5 @@
 #include "core/interop.h"
 
-#include <stdexcept>
-
 namespace nectar::core {
 
 using mbuf::Mbuf;
@@ -18,20 +16,16 @@ sim::Task<Mbuf*> convert_wcab_record(net::NetStack& stack, net::KernCtx ctx,
       continue;
     }
     const mbuf::Wcab w = m->wcab();
-    net::Ifnet* drv = nullptr;
-    for (net::Ifnet* ifp : stack.ifnets()) {
-      if (ifp->outboard_owner() == w.owner) drv = ifp;
-    }
-    if (drv == nullptr)
-      throw std::logic_error("convert_wcab_record: no owning device on this stack");
+    net::Ifnet& drv = stack.outboard_ifnet(w);
 
     const auto len = static_cast<std::size_t>(m->len());
     Mbuf* repl = env.pool.get_ext(len, false);
     repl->set_len(static_cast<int>(len));
 
     // Asynchronous DMA + resynchronization (§5).
+    std::vector<mem::HostSeg> dst(1, mem::HostSeg{0, repl->span()});
     mbuf::DmaSync sync(env.sim);
-    co_await drv->copy_out_raw(ctx, w, 0, repl->span(), &sync);
+    co_await drv.copy_out(ctx, w, std::move(dst), &sync);
     co_await sync.drain();
     co_await env.cpu.run(sim::usec(stack.costs().intr_us), env.intr_acct,
                          sim::Priority::Interrupt);

@@ -16,7 +16,7 @@
 // costs its one propagation — a longer wire, not a different protocol.
 //
 // Determinism: the same options (seed included) produce bit-identical
-// Netstat and telemetry JSON at any worker count; tests/test_parallel.cc
+// Netstat and engine JSON at any worker count; tests/test_parallel.cc
 // enforces this against the 1-worker oracle.
 #pragma once
 
@@ -28,11 +28,10 @@
 #include "hippi/shard_link.h"
 #include "hippi/switch.h"
 #include "sim/parallel_engine.h"
-#include "telemetry/telemetry.h"
 
 namespace nectar::core {
 
-struct ShardedTestbedOptions : ImpairmentSpec, TelemetrySpec {
+struct ShardedTestbedOptions : ImpairmentSpec {
   std::size_t num_pairs = 4;   // client/server host pairs on the switch
   std::size_t workers = 1;     // worker threads for the engine
   std::uint64_t seed = 1;      // roots the per-shard RNG streams
@@ -61,13 +60,9 @@ class ShardedTestbed : public ImpairmentChain, public PairPlan {
 
   // uplinks[2i] serves client i, uplinks[2i + 1] server i.
   std::vector<std::unique_ptr<hippi::ShardUplink>> uplinks;
-  std::vector<std::unique_ptr<telemetry::Telemetry>> tels;  // per shard
 
   std::vector<std::unique_ptr<Host>> clients;
   std::vector<std::unique_ptr<Host>> servers;
-
-  // Live telemetry registries in shard order (empty when telemetry is off).
-  [[nodiscard]] std::vector<const telemetry::Telemetry*> telemetries() const;
 
   // Drive the engine until `done` (evaluated between epochs, where every
   // shard is quiescent) or `deadline` on the global clock. Returns done().

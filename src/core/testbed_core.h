@@ -1,8 +1,8 @@
 // The plumbing Testbed, MultiTestbed and ShardedTestbed share, declared once:
 //
-//  * ImpairmentSpec  the wire-impairment knobs, and
-//  * TelemetrySpec   the observability knobs. Every testbed's options
-//                    struct inherits both.
+//  * ImpairmentSpec  the wire-impairment knobs, which every testbed's
+//                    options struct inherits, and
+//  * TelemetrySpec   the observability knobs of Testbed and MultiTestbed.
 //  * ImpairmentChain owns the impairment layers stacked over a testbed's bare
 //                    fabric (a direct wire or a switch), lists them, and
 //                    hands out the outermost fabric.
@@ -39,11 +39,10 @@ struct ImpairmentSpec {
   std::vector<std::pair<sim::Time, sim::Time>> partition_windows;
 };
 
-// Opt-in observability: create telemetry::Telemetry registries, wire them
+// Opt-in observability: create a telemetry::Telemetry registry, wire it
 // through every host and the wire, and sample gauges every telemetry_tick.
-// Testbed and MultiTestbed share one registry across their hosts;
-// ShardedTestbed keeps one per shard (a registry binds to one Simulator),
-// and telemetry::merged_metrics_json combines them.
+// Testbed and MultiTestbed share one registry across their hosts.
+// ShardedTestbed has none: a registry binds to one Simulator.
 struct TelemetrySpec {
   bool telemetry = false;
   sim::Duration telemetry_tick = sim::usec(100.0);

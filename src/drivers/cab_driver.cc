@@ -88,6 +88,51 @@ hippi::Addr CabDriver::resolve(net::IpAddr next_hop) const {
   return it->second;
 }
 
+mbuf::Wcab CabDriver::wcab(cab::Handle h, std::size_t data_off,
+                           std::size_t valid) const {
+  mbuf::Wcab w;
+  w.owner = &dev_;
+  w.handle = h;
+  w.data_off = static_cast<std::uint32_t>(data_off);
+  w.valid = static_cast<std::uint32_t>(valid);
+  return w;
+}
+
+Mbuf* CabDriver::frame(Mbuf* pkt, net::IpAddr next_hop, cab::SdmaRequest& req) {
+  hippi::FrameHeader fh;
+  fh.dst = resolve(next_hop);
+  fh.src = dev_.addr();
+  fh.type = hippi::kTypeIp;
+  fh.payload_len = static_cast<std::uint32_t>(pkt->pkthdr.len);
+  Mbuf* m0 = mbuf::m_prepend(pkt, static_cast<int>(hippi::kHeaderSize));
+  hippi::write_header({m0->data(), hippi::kHeaderSize}, fh);
+
+  req.dir = cab::SdmaRequest::Dir::kToCab;
+  req.flow = m0->pkthdr.flow;
+  if (m0->pkthdr.csum_tx.offload) {
+    req.csum_enable = true;
+    // Transport offsets are relative to the IP header; add the link header.
+    req.skip_words = static_cast<std::uint16_t>(m0->pkthdr.csum_tx.skip_words +
+                                                hippi::kHeaderSize / 4);
+    req.csum_offset = static_cast<std::uint16_t>(m0->pkthdr.csum_tx.csum_offset +
+                                                 hippi::kHeaderSize);
+  }
+  return m0;
+}
+
+Mbuf* CabDriver::wrap_residue(const cab::RecvDesc& d) {
+  if (!d.handle) {
+    ++drv_stats.rx_small;
+    return nullptr;
+  }
+  ++drv_stats.rx_wcab;
+  const std::size_t resid = d.total_len - d.head.size();
+  mbuf::UioWcabHdr hdr;
+  // The M_WCAB mbuf adopts the allocation reference.
+  return stack()->env().pool.get_wcab(wcab(*d.handle, d.head.size(), resid), resid,
+                                      hdr, false);
+}
+
 sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) {
   auto& env = stack()->env();
   co_await env.cpu.run(sim::usec(stack()->costs().driver_issue_us), ctx.acct,
@@ -116,14 +161,8 @@ sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) 
   }
 
   // Fresh packet: HIPPI header + full SDMA into a new outboard buffer.
-  hippi::FrameHeader fh;
-  fh.dst = resolve(next_hop);
-  fh.src = dev_.addr();
-  fh.type = hippi::kTypeIp;
-  fh.payload_len = static_cast<std::uint32_t>(pkt->pkthdr.len);
-  Mbuf* m0 = mbuf::m_prepend(pkt, static_cast<int>(hippi::kHeaderSize));
-  hippi::write_header({m0->data(), hippi::kHeaderSize}, fh);
-
+  cab::SdmaRequest req;
+  Mbuf* m0 = frame(pkt, next_hop, req);
   const auto total = static_cast<std::size_t>(m0->pkthdr.len);
   auto handle = dev_.nm().alloc(total);
   if (!handle) {
@@ -132,12 +171,7 @@ sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) 
     env.pool.free_chain(m0);
     co_return;
   }
-
-  cab::SdmaRequest req;
-  req.dir = cab::SdmaRequest::Dir::kToCab;
   req.handle = *handle;
-  req.cab_off = 0;
-  req.flow = m0->pkthdr.flow;
   std::size_t data_start = 0;  // offset of the first M_UIO byte in the packet
   bool before_data = true;
   for (Mbuf* m = m0; m != nullptr; m = m->next) {
@@ -152,24 +186,12 @@ sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) 
         if (!u.word_aligned())
           throw std::logic_error(
               "CabDriver: misaligned M_UIO reached the driver (socket-layer bug)");
-        for (const auto& v : u.iov) {
-          req.segs.push_back(
-              cab::SdmaSeg{v.base, u.space->write_view(v.base, v.len)});
-        }
+        u.append_segs(req.segs);
         break;
       }
       case mbuf::MbufType::kWcab:
         throw std::logic_error("CabDriver: WCAB in fresh-packet path");
     }
-  }
-
-  if (m0->pkthdr.csum_tx.offload) {
-    req.csum_enable = true;
-    // Transport offsets are relative to the IP header; add the link header.
-    req.skip_words = static_cast<std::uint16_t>(m0->pkthdr.csum_tx.skip_words +
-                                                hippi::kHeaderSize / 4);
-    req.csum_offset = static_cast<std::uint16_t>(m0->pkthdr.csum_tx.csum_offset +
-                                                 hippi::kHeaderSize);
   }
 
   ++drv_stats.tx_fresh;
@@ -181,59 +203,54 @@ sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) 
   if (offload_enabled_ && oc_.tso_max > 1 && degraded_ != 0)
     ++off_stats.tx_fallback_host_seg;
 
-  const cab::Handle h = *handle;
-  cab::CabDevice* dev = &dev_;
+  cab::MdmaXmit::Request mr;
+  mr.handle = *handle;
+  mr.len = total;
+  mr.flow = m0->pkthdr.flow;
+  // data_start already counts every header byte (incl. the link header,
+  // since it was prepended before the scan).
+  post_tx(std::move(req), m0, data_start, std::move(mr));
+}
+
+void CabDriver::post_tx(cab::SdmaRequest req, Mbuf* chain, std::size_t data_start,
+                        cab::MdmaXmit::Request mr) {
   // The mbuf chain must stay alive until the SDMA engine reads it.
-  Mbuf* chain = m0;
-  const std::size_t dstart = data_start;
-  const std::uint32_t flow = m0->pkthdr.flow;
-  req.on_complete = [this, dev, h, chain, total, dstart,
-                     flow](const cab::SdmaRequest& done) {
+  req.on_complete = [this, chain, data_start,
+                     mr = std::move(mr)](const cab::SdmaRequest& done) mutable {
+    const cab::Handle h = mr.handle;
     if (done.failed) {
       // Nothing went outboard: unpin the writer's pages, drop the packet
-      // (the transport retransmits), release the buffer we allocated.
+      // (the transport retransmits, and WCAB data stays intact outboard),
+      // release the transmit's buffer reference.
       ++rec_stats.tx_dma_failed;
       ++if_stats.oerrors;
       unpin_uio(chain);
       chain->pool().free_chain(chain);
-      dev->nm().release(h);
+      dev_.nm().release(h);
       note_dma_failure();
       return;
     }
-    if (chain->pkthdr.on_outboarded) {
-      mbuf::Wcab w;
-      w.owner = dev;
-      w.handle = h;
-      // dstart already counts every header byte (incl. the link header, since
-      // it was prepended before the scan).
-      w.data_off = static_cast<std::uint32_t>(dstart);
-      w.valid = static_cast<std::uint32_t>(total - dstart);
-      chain->pkthdr.on_outboarded(w);
-    }
+    if (chain->pkthdr.on_outboarded)
+      chain->pkthdr.on_outboarded(wcab(h, data_start, mr.len - data_start));
     chain->pool().free_chain(chain);
     // Media transfer chains directly off SDMA completion (§2.2). The MDMA
-    // completion drops the driver's buffer reference; no host interrupt is
+    // completion drops the transmit's buffer reference; no host interrupt is
     // needed (TCP's ACK confirms delivery).
-    cab::MdmaXmit::Request mr;
-    mr.handle = h;
-    mr.len = total;
-    mr.flow = flow;
+    cab::CabDevice* dev = &dev_;
     mr.on_complete = [dev, h] { dev->nm().release(h); };
-    dev->mdma_xmit().post(mr);
+    dev->mdma_xmit().post(std::move(mr));
   };
-
+  const cab::Handle h = req.handle;
   if (!dev_.sdma().post(std::move(req))) {
     ++if_stats.oerrors;
     dev_.nm().release(h);
-    env.pool.free_chain(m0);
+    stack()->env().pool.free_chain(chain);
   }
-  co_return;
 }
 
 sim::Task<void> CabDriver::output_rewrite(KernCtx ctx, Mbuf* pkt,
                                           net::IpAddr next_hop) {
   (void)ctx;
-  auto& env = stack()->env();
   // Expect: header mbufs (regular) followed by exactly one WCAB mbuf. The
   // outboard payload normally starts right after the header block
   // (data_off == headers); after a partial acknowledgement of a multi-MTU
@@ -265,87 +282,44 @@ sim::Task<void> CabDriver::output_rewrite(KernCtx ctx, Mbuf* pkt,
   }
   const std::size_t payload_off = w.data_off - hdr_block;
 
-  hippi::FrameHeader fh;
-  fh.dst = resolve(next_hop);
-  fh.src = dev_.addr();
-  fh.type = hippi::kTypeIp;
-  fh.payload_len = static_cast<std::uint32_t>(pkt->pkthdr.len);
-  Mbuf* m0 = mbuf::m_prepend(pkt, static_cast<int>(hippi::kHeaderSize));
-  hippi::write_header({m0->data(), hippi::kHeaderSize}, fh);
-
-  const std::size_t total = hdr_block + static_cast<std::size_t>(wm->len());
-
   cab::SdmaRequest req;
-  req.dir = cab::SdmaRequest::Dir::kToCab;
+  Mbuf* m0 = frame(pkt, next_hop, req);
+  if (!req.csum_enable)
+    throw std::logic_error("CabDriver: WCAB retransmit requires outboard checksum");
+  const std::size_t total = hdr_block + static_cast<std::size_t>(wm->len());
   req.handle = w.handle;
   req.cab_off = payload_off;
-  req.flow = m0->pkthdr.flow;
   req.header_rewrite = true;
   for (Mbuf* m = m0; m != nullptr; m = m->next) {
     if (m->type() == mbuf::MbufType::kData)
       req.segs.push_back(cab::SdmaSeg{0, m->span()});
   }
-  if (!m0->pkthdr.csum_tx.offload)
-    throw std::logic_error("CabDriver: WCAB retransmit requires outboard checksum");
-  req.csum_enable = true;
-  req.skip_words = static_cast<std::uint16_t>(m0->pkthdr.csum_tx.skip_words +
-                                              hippi::kHeaderSize / 4);
-  req.csum_offset = static_cast<std::uint16_t>(m0->pkthdr.csum_tx.csum_offset +
-                                               hippi::kHeaderSize);
 
   ++drv_stats.tx_rewrite;
   ++if_stats.opackets;
   if_stats.obytes += total;
 
+  cab::MdmaXmit::Request mr;
+  mr.handle = w.handle;
+  mr.off = payload_off;
+  mr.len = total;
+  mr.flow = m0->pkthdr.flow;
   // Large-segment offload: the MDMA engine fans the super-segment out into
   // wire MTUs; the transmit is still one doorbell and one SDMA/MDMA pair.
-  std::size_t tso_seg_payload = 0;
   if (m0->pkthdr.csum_tx.tso_seg_payload > 0) {
-    tso_seg_payload = m0->pkthdr.csum_tx.tso_seg_payload;
+    mr.tso_hdr_len = hdr_block;  // link + IP + transport headers
+    mr.tso_seg_payload = m0->pkthdr.csum_tx.tso_seg_payload;
     const std::size_t payload = static_cast<std::size_t>(wm->len());
-    if (payload > tso_seg_payload) {
+    if (payload > mr.tso_seg_payload) {
       ++off_stats.tx_super_segs;
-      off_stats.tx_wire_segs += (payload + tso_seg_payload - 1) / tso_seg_payload;
+      off_stats.tx_wire_segs += (payload + mr.tso_seg_payload - 1) / mr.tso_seg_payload;
       off_stats.tx_tso_bytes += payload;
     }
   }
-
-  const cab::Handle h = w.handle;
-  cab::CabDevice* dev = &dev_;
-  dev_.outboard_retain(h);  // keep alive through SDMA + MDMA
-  Mbuf* chain = m0;
-  const std::uint32_t flow = m0->pkthdr.flow;
-  req.on_complete = [this, dev, h, chain, total, payload_off, tso_seg_payload,
-                     hdr_block, flow](const cab::SdmaRequest& done) {
-    if (done.failed) {
-      // Header rewrite failed (reset/injected error): the outboard data is
-      // intact, so the next RTO retransmission simply tries again.
-      ++rec_stats.tx_dma_failed;
-      ++if_stats.oerrors;
-      chain->pool().free_chain(chain);  // drops the packet's own WCAB reference
-      dev->nm().release(h);             // the transmit-path retain above
-      note_dma_failure();
-      return;
-    }
-    chain->pool().free_chain(chain);  // drops the packet's own WCAB reference
-    cab::MdmaXmit::Request mr;
-    mr.handle = h;
-    mr.off = payload_off;
-    mr.len = total;
-    mr.flow = flow;
-    if (tso_seg_payload > 0) {
-      mr.tso_hdr_len = hdr_block;  // link + IP + transport headers
-      mr.tso_seg_payload = tso_seg_payload;
-    }
-    mr.on_complete = [dev, h] { dev->nm().release(h); };
-    dev->mdma_xmit().post(mr);
-  };
-
-  if (!dev_.sdma().post(std::move(req))) {
-    ++if_stats.oerrors;
-    dev_.outboard_release(h);
-    env.pool.free_chain(m0);
-  }
+  // The packet's own WCAB reference goes with its mbuf chain; this one keeps
+  // the buffer alive through SDMA + MDMA.
+  dev_.outboard_retain(w.handle);
+  post_tx(std::move(req), m0, hdr_block, std::move(mr));
   co_return;
 }
 
@@ -383,9 +357,7 @@ sim::Task<void> CabDriver::copy_in(KernCtx ctx, mem::Uio data,
   job->req.handle = *handle;
   job->req.cab_off = header_space;
   job->req.flow = ctx.flow;
-  for (const auto& v : data.iov)
-    job->req.segs.push_back(
-        cab::SdmaSeg{v.base, data.space->write_view(v.base, v.len)});
+  data.append_segs(job->req.segs);
   job->req.csum_enable = true;
   job->req.body_sum_only = true;
   job->req.skip_words = 0;
@@ -398,8 +370,14 @@ sim::Task<void> CabDriver::copy_in(KernCtx ctx, mem::Uio data,
 }
 
 void CabDriver::submit_copyin(std::shared_ptr<CopyinJob> job) {
+  // Command queue full, or a failed transfer: repost after a pause (queue
+  // space frees as the engine drains or recovers).
+  auto retry = [this, job] {
+    ++rec_stats.copy_in_retries;
+    stack()->env().sim.after(kDmaRetryDelay, [this, job] { submit_copyin(job); });
+  };
   cab::SdmaRequest r = job->req;  // keep the master copy for reposting
-  r.on_complete = [this, job](const cab::SdmaRequest& done) {
+  r.on_complete = [this, job, retry](const cab::SdmaRequest& done) {
     if (!done.failed) {
       if (!job->req.csum_enable) {
         // The data is outboard but the engine could not sum it: compute the
@@ -407,50 +385,23 @@ void CabDriver::submit_copyin(std::shared_ptr<CopyinJob> job) {
         // header-rewrite transmissions keep working. Mirror the hardware's
         // slice checkpoints exactly when this is a multi-MTU staging, so a
         // later fan-out produces bit-identical per-segment checksums.
-        std::uint32_t sum = 0;
-        std::size_t off = 0;
-        for (const auto& seg : job->req.segs) {
-          sum = checksum::combine(sum, checksum::ones_sum(seg.bytes), off);
-          off += seg.bytes.size();
-        }
-        dev_.nm().set_body_sum(job->handle, sum);
-        if (job->req.seg_stride > 0) {
-          const std::size_t stride = job->req.seg_stride;
-          std::vector<std::uint32_t> slices;
-          std::uint32_t cur = 0;
-          std::size_t cur_len = 0;
-          for (const auto& seg : job->req.segs) {
-            std::size_t p = 0;
-            while (p < seg.bytes.size()) {
-              const std::size_t n =
-                  std::min(seg.bytes.size() - p, stride - cur_len);
-              cur = checksum::combine(
-                  cur, checksum::ones_sum(seg.bytes.subspan(p, n)), cur_len);
-              cur_len += n;
-              p += n;
-              if (cur_len == stride) {
-                slices.push_back(cur);
-                cur = 0;
-                cur_len = 0;
-              }
-            }
-          }
-          if (cur_len > 0) slices.push_back(cur);
-          dev_.nm().set_seg_sums(job->handle, job->data_off, stride, off,
-                                 std::move(slices));
-        }
+        std::vector<std::span<const std::byte>> pieces;
+        for (const auto& seg : job->req.segs) pieces.emplace_back(seg.bytes);
+        auto ss = checksum::slice_sums(pieces, job->req.seg_stride,
+                                       [](std::span<const std::byte> b) {
+                                         return checksum::ones_sum(b);
+                                       });
+        dev_.nm().set_body_sum(job->handle, ss.body);
+        if (job->req.seg_stride > 0)
+          dev_.nm().set_seg_sums(job->handle, job->data_off, job->req.seg_stride,
+                                 job->data_len, std::move(ss.slices));
         ++rec_stats.copy_in_sw_csum;
       }
-      mbuf::Wcab w;
-      w.owner = &dev_;
-      w.handle = job->handle;
-      w.data_off = job->data_off;
-      w.valid = job->data_len;
       if (job->tel_key != 0) {
         if (auto* tel = stack()->env().telemetry)
           tel->span_end(telemetry::Stage::kDriverStage, job->tel_key);
       }
-      job->done(w);
+      job->done(wcab(job->handle, job->data_off, job->data_len));
       return;
     }
     note_dma_failure();
@@ -459,16 +410,9 @@ void CabDriver::submit_copyin(std::shared_ptr<CopyinJob> job) {
       job->req.csum_enable = false;
       job->req.body_sum_only = false;
     }
-    ++rec_stats.copy_in_retries;
-    stack()->env().sim.after(kDmaRetryDelay,
-                             [this, job] { submit_copyin(job); });
+    retry();
   };
-  if (!dev_.sdma().post(std::move(r))) {
-    // Command queue full: space frees as the engine drains (or recovers).
-    ++rec_stats.copy_in_retries;
-    stack()->env().sim.after(kDmaRetryDelay,
-                             [this, job] { submit_copyin(job); });
-  }
+  if (!dev_.sdma().post(std::move(r))) retry();
 }
 
 void CabDriver::handle_recv(cab::RecvDesc&& desc) {
@@ -539,19 +483,8 @@ sim::Task<void> CabDriver::deliver_desc(KernCtx ctx, cab::RecvDesc desc) {
     Mbuf* rm = env.pool.get_ext(resid.size(), /*pkthdr=*/false);
     rm->append(std::span<const std::byte>{resid.data(), resid.size()});
     head->next = rm;
-  } else if (desc.handle) {
-    ++drv_stats.rx_wcab;
-    mbuf::Wcab w;
-    w.owner = &dev_;
-    w.handle = *desc.handle;  // adopts the allocation reference
-    w.data_off = static_cast<std::uint32_t>(desc.head.size());
-    w.valid = static_cast<std::uint32_t>(desc.total_len - desc.head.size());
-    w.checksum_valid = false;
-    mbuf::UioWcabHdr hdr;
-    Mbuf* wm = env.pool.get_wcab(w, desc.total_len - desc.head.size(), hdr, false);
-    head->next = wm;
   } else {
-    ++drv_stats.rx_small;
+    head->next = wrap_residue(desc);
   }
 
   // Validate and strip HIPPI framing.
@@ -713,28 +646,14 @@ sim::Task<void> CabDriver::deliver_merged(KernCtx ctx,
 
   Mbuf* tail = head;
   auto attach = [&tail](Mbuf* m) {
+    if (m == nullptr) return;
     tail->next = m;
     tail = m;
-  };
-  auto attach_residue = [&](cab::RecvDesc& d) {
-    if (!d.handle) {
-      ++drv_stats.rx_small;
-      return;
-    }
-    ++drv_stats.rx_wcab;
-    mbuf::Wcab w;
-    w.owner = &dev_;
-    w.handle = *d.handle;  // adopts the allocation reference
-    w.data_off = static_cast<std::uint32_t>(d.head.size());
-    w.valid = static_cast<std::uint32_t>(d.total_len - d.head.size());
-    w.checksum_valid = false;
-    mbuf::UioWcabHdr hdr;
-    attach(env.pool.get_wcab(w, d.total_len - d.head.size(), hdr, false));
   };
 
   ++if_stats.ipackets;  // wire packets, not records
   if_stats.ibytes += first.total_len;
-  attach_residue(first);
+  attach(wrap_residue(first));
   for (std::size_t k = 1; k < descs.size(); ++k) {
     cab::RecvDesc& d = descs[k];
     ++if_stats.ipackets;
@@ -745,7 +664,7 @@ sim::Task<void> CabDriver::deliver_merged(KernCtx ctx,
       dm->append(std::span<const std::byte>{d.head.data() + hdrs, head_payload});
       attach(dm);
     }
-    attach_residue(d);
+    attach(wrap_residue(d));
   }
 
   mbuf::m_adj(head, static_cast<int>(hippi::kHeaderSize));
@@ -753,7 +672,7 @@ sim::Task<void> CabDriver::deliver_merged(KernCtx ctx,
 }
 
 sim::Task<void> CabDriver::copy_out(KernCtx ctx, const mbuf::Wcab& w,
-                                    std::size_t wcab_off, mem::Uio dst,
+                                    std::vector<mem::HostSeg> dst,
                                     mbuf::DmaSync* sync) {
   auto& env = stack()->env();
   co_await env.cpu.run(sim::usec(stack()->costs().driver_issue_us), ctx.acct,
@@ -764,36 +683,11 @@ sim::Task<void> CabDriver::copy_out(KernCtx ctx, const mbuf::Wcab& w,
   auto job = std::make_shared<CopyJob>();
   job->req.dir = cab::SdmaRequest::Dir::kFromCab;
   job->req.handle = w.handle;
-  job->req.cab_off = w.data_off + wcab_off;
+  job->req.cab_off = w.data_off;
   job->req.flow = ctx.flow;
-  for (const auto& v : dst.iov) {
-    job->req.segs.push_back(
-        cab::SdmaSeg{v.base, dst.space->write_view(v.base, v.len)});
-  }
+  job->req.segs = std::move(dst);
   // Keep the outboard buffer alive until the DMA executes — the caller is
   // free to drop its mbuf reference immediately.
-  dev_.outboard_retain(w.handle);
-  job->handle = w.handle;
-  job->sync = sync;
-  if (sync != nullptr) sync->add();
-  submit_copyout(std::move(job));
-}
-
-sim::Task<void> CabDriver::copy_out_raw(KernCtx ctx, const mbuf::Wcab& w,
-                                        std::size_t wcab_off, std::span<std::byte> dst,
-                                        mbuf::DmaSync* sync) {
-  auto& env = stack()->env();
-  co_await env.cpu.run(sim::usec(stack()->costs().driver_issue_us), ctx.acct,
-                       ctx.prio);
-  if (recovery_enabled_) arm_watchdog();
-  ++drv_stats.copyouts;
-
-  auto job = std::make_shared<CopyJob>();
-  job->req.dir = cab::SdmaRequest::Dir::kFromCab;
-  job->req.handle = w.handle;
-  job->req.cab_off = w.data_off + wcab_off;
-  job->req.flow = ctx.flow;
-  job->req.segs.push_back(cab::SdmaSeg{0, dst});
   dev_.outboard_retain(w.handle);
   job->handle = w.handle;
   job->sync = sync;

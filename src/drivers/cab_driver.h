@@ -14,8 +14,8 @@
 // and interrupts; the driver wraps the host-resident head in a regular mbuf,
 // the outboard remainder (if any) in an M_WCAB mbuf, and feeds ip_input.
 //
-// Copy-out (§3): soreceive and the interop layer call copy_out/copy_out_raw
-// to move outboard data to user/kernel memory via SDMA.
+// Copy-out (§3): soreceive and the interop layer call copy_out to move
+// outboard data to user/kernel memory via SDMA.
 #pragma once
 
 #include <deque>
@@ -60,12 +60,8 @@ class CabDriver final : public net::Ifnet {
                          net::IpAddr next_hop) override;
 
   sim::Task<void> copy_out(net::KernCtx ctx, const mbuf::Wcab& w,
-                           std::size_t wcab_off, mem::Uio dst,
+                           std::vector<mem::HostSeg> dst,
                            mbuf::DmaSync* sync) override;
-
-  sim::Task<void> copy_out_raw(net::KernCtx ctx, const mbuf::Wcab& w,
-                               std::size_t wcab_off, std::span<std::byte> dst,
-                               mbuf::DmaSync* sync) override;
 
   sim::Task<void> copy_in(net::KernCtx ctx, mem::Uio data, std::size_t header_space,
                           std::function<void(mbuf::Wcab)> done,
@@ -197,6 +193,24 @@ class CabDriver final : public net::Ifnet {
   sim::Task<void> deliver_merged(net::KernCtx ctx, std::vector<cab::RecvDesc> descs,
                                  std::size_t thl, std::size_t total_payload);
   [[nodiscard]] hippi::Addr resolve(net::IpAddr next_hop) const;
+  // The M_WCAB descriptor of `valid` bytes at `data_off` in buffer `h`.
+  [[nodiscard]] mbuf::Wcab wcab(cab::Handle h, std::size_t data_off,
+                                std::size_t valid) const;
+  // Prepend the HIPPI header for `next_hop` to the IP packet `pkt` and set
+  // up `req` to carry the frame outboard: direction, flow and, when the
+  // transport asked for the outboard checksum, its fields shifted past the
+  // link header. Returns the new head.
+  mbuf::Mbuf* frame(mbuf::Mbuf* pkt, net::IpAddr next_hop, cab::SdmaRequest& req);
+  // Post `req`, which moves the frame `chain` outboard, and chain the media
+  // transfer `mr` off its completion. The transmit holds one reference on
+  // the buffer, dropped when the MDMA completes or the SDMA fails. On
+  // success the packet's on_outboarded hook learns where its data starts
+  // (`data_start` bytes into the frame).
+  void post_tx(cab::SdmaRequest req, mbuf::Mbuf* chain, std::size_t data_start,
+               cab::MdmaXmit::Request mr);
+  // Wrap the outboard residue of `d` in an M_WCAB mbuf (nullptr when the
+  // packet arrived fully auto-DMAed), counting rx_wcab or rx_small.
+  mbuf::Mbuf* wrap_residue(const cab::RecvDesc& d);
   sim::Task<void> output_rewrite(net::KernCtx ctx, mbuf::Mbuf* pkt,
                                  net::IpAddr next_hop);
 
@@ -215,7 +229,7 @@ class CabDriver final : public net::Ifnet {
   // Unpin any M_UIO data in `chain` so a writer blocked on its DmaSync drain
   // wakes up even though the data never went outboard.
   static void unpin_uio(mbuf::Mbuf* chain);
-  // Failure-retrying copy-out submission (shared by copy_out/copy_out_raw).
+  // Failure-retrying copy-out submission.
   struct CopyJob {
     cab::SdmaRequest req;
     mbuf::DmaSync* sync = nullptr;

@@ -99,12 +99,8 @@ class Mbuf {
 
   [[nodiscard]] MbufType type() const noexcept { return type_; }
   [[nodiscard]] unsigned flags() const noexcept { return flags_; }
-  // ORs `f` into the flag word (it does not assign). The old name set_flags
-  // hid exactly the kind of stale-state bug pool recycling must not have.
+  // ORs `f` into the flag word (it does not assign).
   void add_flags(unsigned f) noexcept { flags_ |= f; }
-  [[deprecated("ORs, does not assign; use add_flags")]] void set_flags(unsigned f) noexcept {
-    add_flags(f);
-  }
   void clear_flags(unsigned f) noexcept { flags_ &= ~f; }
   [[nodiscard]] bool has_pkthdr() const noexcept { return flags_ & kMPktHdr; }
   [[nodiscard]] bool is_descriptor() const noexcept {

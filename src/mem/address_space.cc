@@ -83,6 +83,10 @@ Uio Uio::slice(std::size_t off, std::size_t len) const {
   return out;
 }
 
+void Uio::append_segs(std::vector<HostSeg>& out) const {
+  for (const auto& v : iov) out.push_back(HostSeg{v.base, space->write_view(v.base, v.len)});
+}
+
 bool Uio::word_aligned() const noexcept {
   for (const auto& v : iov) {
     if (v.base % 4 != 0) return false;

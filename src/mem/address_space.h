@@ -69,6 +69,13 @@ class AddressSpace {
   VAddr next_ = 0x0000'0001'0000'0000ULL;  // distinctive, page aligned
 };
 
+// A run of host memory as a DMA engine sees it: the simulated address (for
+// the engine's alignment check) and the real bytes behind it.
+struct HostSeg {
+  VAddr vaddr = 0;
+  std::span<std::byte> bytes;
+};
+
 // Scattered user memory descriptor: the `uio` the paper's M_UIO mbufs carry.
 struct UioVec {
   VAddr base = 0;
@@ -91,6 +98,9 @@ struct Uio {
   // True if every vector base (and all interior vector boundaries) are
   // 32-bit aligned — the CAB SDMA requirement from §4.5.
   [[nodiscard]] bool word_aligned() const noexcept;
+
+  // Append one HostSeg per vector, in stream order.
+  void append_segs(std::vector<HostSeg>& out) const;
 };
 
 }  // namespace nectar::mem

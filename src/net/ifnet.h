@@ -84,18 +84,13 @@ class Ifnet {
   // point (§5, "a copy has merely been delayed"). Takes ownership.
   virtual sim::Task<void> output(KernCtx ctx, mbuf::Mbuf* pkt, IpAddr next_hop) = 0;
 
-  // Copy-out routine (§3): move `len` bytes of outboard data starting at
-  // `wcab_off` within the WCAB packet into host memory described by `dst`.
-  // Only meaningful on single-copy interfaces; the base class throws.
+  // Copy-out routine (§3): move the outboard data of the WCAB packet `w`
+  // into the host memory `dst` lists, in stream order: pinned user pages,
+  // soreceive's kernel staging buffer, or the fresh mbuf of the §5 interop
+  // layer. Only meaningful on single-copy interfaces; the base class throws.
   virtual sim::Task<void> copy_out(KernCtx ctx, const mbuf::Wcab& w,
-                                   std::size_t wcab_off, mem::Uio dst,
+                                   std::vector<mem::HostSeg> dst,
                                    mbuf::DmaSync* sync);
-
-  // Same, but into a kernel buffer (used by the §5 interop layer to convert
-  // M_WCAB records into regular mbufs for in-kernel applications).
-  virtual sim::Task<void> copy_out_raw(KernCtx ctx, const mbuf::Wcab& w,
-                                       std::size_t wcab_off, std::span<std::byte> dst,
-                                       mbuf::DmaSync* sync);
 
   // The outboard-buffer owner behind this interface (non-null only for
   // single-copy devices); lets upper layers find the driver that can copy a

@@ -34,6 +34,13 @@ IpAddr NetStack::source_addr_for(IpAddr dst) const {
   return r ? r->ifp->addr() : 0;
 }
 
+Ifnet& NetStack::outboard_ifnet(const mbuf::Wcab& w) const {
+  for (Ifnet* ifp : ifnets_) {
+    if (ifp->outboard_owner() == w.owner) return *ifp;
+  }
+  throw std::logic_error("netstack: orphan WCAB data (no owning device)");
+}
+
 void NetStack::tcp_bind(const ConnKey& key, TcpConnection* tp) {
   if (!tcp_conns_.insert(key, tp))
     throw std::invalid_argument("netstack: tcp tuple in use");
@@ -404,15 +411,9 @@ sim::Task<void> NetStack::transport_input(KernCtx ctx, std::uint8_t proto,
 
 // Ifnet base implementation of the single-copy extension: only overridden by
 // single-copy drivers.
-sim::Task<void> Ifnet::copy_out(KernCtx, const mbuf::Wcab&, std::size_t, mem::Uio,
+sim::Task<void> Ifnet::copy_out(KernCtx, const mbuf::Wcab&, std::vector<mem::HostSeg>,
                                 mbuf::DmaSync*) {
   throw std::logic_error("Ifnet(" + name() + "): copy_out on non-single-copy device");
-}
-
-sim::Task<void> Ifnet::copy_out_raw(KernCtx, const mbuf::Wcab&, std::size_t,
-                                    std::span<std::byte>, mbuf::DmaSync*) {
-  throw std::logic_error("Ifnet(" + name() +
-                         "): copy_out_raw on non-single-copy device");
 }
 
 sim::Task<void> Ifnet::copy_in(KernCtx, mem::Uio, std::size_t,

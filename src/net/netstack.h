@@ -86,6 +86,9 @@ class NetStack {
 
   void add_ifnet(Ifnet* ifp);  // not owned
   [[nodiscard]] const std::vector<Ifnet*>& ifnets() const noexcept { return ifnets_; }
+  // The interface whose device owns the outboard buffer of `w`: the driver
+  // that can copy an M_WCAB mbuf out. Throws if no interface here owns it.
+  [[nodiscard]] Ifnet& outboard_ifnet(const mbuf::Wcab& w) const;
 
   // Convenience: the address of the interface a destination routes out of
   // (source-address selection for connect/bind).

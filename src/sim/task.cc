@@ -5,31 +5,19 @@
 
 namespace nectar::sim {
 
-namespace {
-
-// Fire-and-forget wrapper: owns the spawned task in its own frame. Both
-// initial and final suspend are suspend_never, so the wrapper frame starts
-// immediately and self-destroys (taking the owned task with it) on return.
-struct Detached {
-  struct promise_type {
-    Detached get_return_object() noexcept { return {}; }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-    void unhandled_exception() noexcept {
-      std::fprintf(stderr, "nectar: exception escaped a detached sim process\n");
-      std::terminate();
-    }
-  };
-};
-
-Detached run_detached(Task<void> t) { co_await std::move(t); }
-
-}  // namespace
+void detail::PromiseBase::unhandled_exception() noexcept {
+  if (detached) {
+    std::fprintf(stderr, "nectar: exception escaped a detached sim process\n");
+    std::terminate();
+  }
+  error = std::current_exception();
+}
 
 void spawn(Task<void> t) {
   assert(t.valid());
-  run_detached(std::move(t));
+  auto h = std::exchange(t.h_, nullptr);
+  h.promise().detached = true;
+  h.resume();
 }
 
 }  // namespace nectar::sim

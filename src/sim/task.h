@@ -18,6 +18,7 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,14 +26,21 @@
 
 namespace nectar::sim {
 
-template <typename T>
+template <typename T = void>
 class Task;
+
+// Detach a Task<void> as a root "process": runs eagerly to its first suspend,
+// and its frame destroys itself when it returns. An escaped exception from a
+// detached process is a bug in the simulation; it terminates with the active
+// exception visible.
+void spawn(Task<void> t);
 
 namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
+  bool detached = false;  // spawned: no awaiter owns the frame
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -40,6 +48,10 @@ struct PromiseBase {
     bool await_ready() noexcept { return false; }
     template <typename P>
     std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) noexcept {
+      if (h.promise().detached) {
+        h.destroy();
+        return std::noop_coroutine();
+      }
       auto& cont = h.promise().continuation;
       return cont ? cont : std::noop_coroutine();
     }
@@ -47,21 +59,30 @@ struct PromiseBase {
   };
   FinalAwaiter final_suspend() noexcept { return {}; }
 
-  void unhandled_exception() noexcept { error = std::current_exception(); }
+  void unhandled_exception() noexcept;
+};
+
+template <typename T>
+struct Promise : PromiseBase {
+  std::optional<T> value;
+  void return_value(T v) { value.emplace(std::move(v)); }
+};
+
+template <>
+struct Promise<void> : PromiseBase {
+  void return_void() noexcept {}
 };
 
 }  // namespace detail
 
 // A lazily-started coroutine returning T. Move-only; owns the frame.
-template <typename T = void>
+template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
+  struct promise_type : detail::Promise<T> {
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    void return_value(T v) { value.emplace(std::move(v)); }
   };
 
   Task() = default;
@@ -88,59 +109,14 @@ class [[nodiscard]] Task {
   }
   T await_resume() {
     if (h_.promise().error) std::rethrow_exception(h_.promise().error);
-    return std::move(*h_.promise().value);
+    if constexpr (!std::is_void_v<T>) return std::move(*h_.promise().value);
   }
 
  private:
+  friend void spawn(Task<void> t);
   explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
   std::coroutine_handle<promise_type> h_;
 };
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_void() noexcept {}
-  };
-
-  Task() = default;
-  Task(Task&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      if (h_) h_.destroy();
-      h_ = std::exchange(o.h_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() {
-    if (h_) h_.destroy();
-  }
-
-  [[nodiscard]] bool valid() const noexcept { return h_ != nullptr; }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) noexcept {
-    h_.promise().continuation = awaiter;
-    return h_;
-  }
-  void await_resume() {
-    if (h_.promise().error) std::rethrow_exception(h_.promise().error);
-  }
-
- private:
-  explicit Task(std::coroutine_handle<promise_type> h) : h_(h) {}
-  std::coroutine_handle<promise_type> h_;
-};
-
-// Detach a Task<void> as a root "process": runs eagerly to its first suspend,
-// self-destroys when it returns. An escaped exception from a detached process
-// is a bug in the simulation; it terminates with the active exception visible.
-void spawn(Task<void> t);
 
 // Awaitable delay: resumes through the event queue after `d` simulated ns.
 class Delay {

@@ -195,18 +195,28 @@ class Socket final : public net::TcpCallbacks, public net::UdpSocketIface {
   }
 
   // sosend.cc
+  // The interface `dst` routes out of, if it takes single-copy data now.
+  [[nodiscard]] net::Ifnet* single_copy_ifp(net::IpAddr dst);
   [[nodiscard]] bool single_copy_eligible(const mem::Uio& data, net::IpAddr dst,
                                           std::size_t len);
   sim::Task<void> append_single_copy(ProcCtx& p, net::KernCtx ctx,
                                      const mem::Uio& chunk);
   sim::Task<void> append_copy(ProcCtx& p, net::KernCtx ctx, const mem::Uio& chunk,
                               mbuf::Mbuf** out_chain);
-  sim::Task<void> release_pins(ProcCtx& p, net::KernCtx ctx, const mem::Uio& data);
+  sim::Task<std::size_t> write_done(ProcCtx& p, net::KernCtx ctx, bool sc,
+                                    std::size_t total);
+  // Pin `u` through the pin cache in 32 KiB quanta, recording each quantum
+  // in `pinned`.
+  sim::Task<void> pin_quanta(ProcCtx& p, net::KernCtx ctx, const mem::Uio& u,
+                             std::vector<mem::Uio>& pinned);
+  sim::Task<void> release_pins(ProcCtx& p, net::KernCtx ctx,
+                               std::vector<mem::Uio>& pinned);
 
   // soreceive.cc
   sim::Task<std::size_t> deliver_bytes(ProcCtx& p, net::KernCtx ctx,
                                        net::Sockbuf& sb, mem::Uio dst,
                                        std::size_t take);
+  sim::Task<void> read_done(ProcCtx& p, net::KernCtx ctx, std::size_t got);
 
   net::NetStack& stack_;
   Proto proto_;
@@ -228,9 +238,10 @@ class Socket final : public net::TcpCallbacks, public net::UdpSocketIface {
   ReadyHook* hook_ = nullptr;
   mbuf::DmaSync tx_sync_;
   mbuf::DmaSync rx_sync_;
-  std::vector<mem::Uio> pinned_rx_;  // user ranges pinned for in-flight copy-outs
-  std::vector<mem::Uio> pinned_tx_;  // exact ranges pinned by staging (released
-                                     // symmetrically when the write completes)
+  // Exact user ranges pinned for in-flight copy-outs and by staging, released
+  // symmetrically when the read or write completes.
+  std::vector<mem::Uio> pinned_rx_;
+  std::vector<mem::Uio> pinned_tx_;
   std::size_t staged_tx_ = 0;  // bytes staged outboard but not yet in snd_
 
   // Staging DMAs can complete out of submission order (a transfer error makes

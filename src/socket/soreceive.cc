@@ -33,14 +33,6 @@ void copy_to_user(const mem::Uio& dst, std::span<const std::byte> src) {
   }
 }
 
-// Find the interface able to copy out this outboard buffer.
-net::Ifnet* owner_ifnet(net::NetStack& stack, const mbuf::Wcab& w) {
-  for (net::Ifnet* ifp : stack.ifnets()) {
-    if (ifp->outboard_owner() == w.owner) return ifp;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 // Deliver `take` bytes from the front of `sb` into `dst` (user memory).
@@ -66,30 +58,23 @@ sim::Task<std::size_t> Socket::deliver_bytes(ProcCtx& p, KernCtx ctx,
       sb.drop(avail);
     } else if (m->type() == mbuf::MbufType::kWcab) {
       const mbuf::Wcab w = m->wcab();  // snapshot before drop mutates it
-      net::Ifnet* drv = owner_ifnet(stack_, w);
-      if (drv == nullptr)
-        throw std::logic_error("soreceive: orphan WCAB data (no owning device)");
+      net::Ifnet& drv = stack_.outboard_ifnet(w);
       stats_.wcab_bytes_received += avail;
 
       if (sub.word_aligned() && opts_.policy != CopyPolicy::kNeverSingleCopy) {
         // Single-copy: pin+map the user pages (app context), then DMA.
-        const std::size_t quantum = 32 * 1024;
-        for (const auto& v : sub.iov) {
-          for (std::size_t off = 0; off < v.len; off += quantum) {
-            const std::size_t n = std::min(quantum, v.len - off);
-            co_await env.pin_cache.acquire(p.as, v.base + off, n, ctx.acct, ctx.prio);
-          }
-        }
-        mem::Uio limited = sub;
-        co_await drv->copy_out(ctx, w, 0, limited, &rx_sync_);
+        co_await pin_quanta(p, ctx, sub, pinned_rx_);
+        std::vector<mem::HostSeg> segs;
+        sub.append_segs(segs);
+        co_await drv.copy_out(ctx, w, std::move(segs), &rx_sync_);
         sb.drop(avail);  // the driver holds the buffer until the DMA executes
-        pinned_rx_.push_back(sub);
       } else {
         // Unaligned destination: stage through a kernel buffer, then a CPU
         // copy — the receive side cannot realign (§4.5).
         std::vector<std::byte> staging(avail);
+        std::vector<mem::HostSeg> segs(1, mem::HostSeg{0, staging});
         mbuf::DmaSync local(env.sim);
-        co_await drv->copy_out_raw(ctx, w, 0, staging, &local);
+        co_await drv.copy_out(ctx, w, std::move(segs), &local);
         co_await local.drain();
         co_await env.cpu.run(sim::transfer_time(static_cast<std::int64_t>(avail),
                                                 stack_.costs().copy_bw_bps),
@@ -103,6 +88,22 @@ sim::Task<std::size_t> Socket::deliver_bytes(ProcCtx& p, KernCtx ctx,
     delivered += avail;
   }
   co_return delivered;
+}
+
+// The end of a read. Copy semantics (§4.4.2): the read returns once the
+// incoming data is in place, so the reader waits for the last copy-out's
+// end-of-DMA interrupt, which reschedules it; then it releases this read's
+// pins (the lazy cache keeps them; eager mode unpins).
+sim::Task<void> Socket::read_done(ProcCtx& p, KernCtx ctx, std::size_t got) {
+  auto& env = stack_.env();
+  if (rx_sync_.outstanding() > 0) {
+    co_await rx_sync_.drain();
+    co_await env.cpu.run(sim::usec(stack_.costs().intr_us), env.intr_acct,
+                         sim::Priority::Interrupt);
+    co_await env.cpu.run(sim::usec(stack_.costs().wakeup_us), ctx.acct, ctx.prio);
+  }
+  co_await release_pins(p, ctx, pinned_rx_);
+  stats_.bytes_received += got;
 }
 
 sim::Task<std::size_t> Socket::recv(ProcCtx& p, mem::Uio dst) {
@@ -129,32 +130,11 @@ sim::Task<std::size_t> Socket::recv(ProcCtx& p, mem::Uio dst) {
   co_await env.cpu.run(sim::usec(stack_.costs().soreceive_chunk_us), ctx.acct,
                        ctx.prio);
   const std::size_t got = co_await deliver_bytes(p, ctx, rcv_, dst, take);
-
-  if (rx_sync_.outstanding() > 0) {
-    // Copy semantics: the read returns once the incoming data is in place;
-    // the last copy-out's end-of-DMA interrupt reschedules us (§4.4.2).
-    co_await rx_sync_.drain();
-    co_await env.cpu.run(sim::usec(stack_.costs().intr_us), env.intr_acct,
-                         sim::Priority::Interrupt);
-    co_await env.cpu.run(sim::usec(stack_.costs().wakeup_us), ctx.acct, ctx.prio);
-  }
-  // Release this read's pins (lazy cache keeps them; eager mode unpins).
-  for (const auto& u : pinned_rx_) {
-    const std::size_t quantum = 32 * 1024;
-    for (const auto& v : u.iov) {
-      for (std::size_t off = 0; off < v.len; off += quantum) {
-        const std::size_t n = std::min(quantum, v.len - off);
-        co_await env.pin_cache.release(p.as, v.base + off, n, ctx.acct, ctx.prio);
-      }
-    }
-  }
-  pinned_rx_.clear();
+  co_await read_done(p, ctx, got);
   if (tel_key != 0) {
     if (auto* tel = env.telemetry)
       tel->span_end(telemetry::Stage::kSoreceive, tel_key);
   }
-
-  stats_.bytes_received += got;
   co_await tp_->window_update(ctx);
   co_return got;
 }
@@ -183,25 +163,7 @@ sim::Task<Socket::RecvFromResult> Socket::recvfrom(ProcCtx& p, mem::Uio dst) {
   const std::size_t got = co_await deliver_bytes(p, ctx, tmp, dst, take);
   // Any tail beyond the user buffer is discarded (datagram semantics);
   // Sockbuf's destructor frees it.
-
-  if (rx_sync_.outstanding() > 0) {
-    co_await rx_sync_.drain();
-    co_await env.cpu.run(sim::usec(stack_.costs().intr_us), env.intr_acct,
-                         sim::Priority::Interrupt);
-    co_await env.cpu.run(sim::usec(stack_.costs().wakeup_us), ctx.acct, ctx.prio);
-  }
-  for (const auto& u : pinned_rx_) {
-    const std::size_t quantum = 32 * 1024;
-    for (const auto& v : u.iov) {
-      for (std::size_t off = 0; off < v.len; off += quantum) {
-        const std::size_t n = std::min(quantum, v.len - off);
-        co_await env.pin_cache.release(p.as, v.base + off, n, ctx.acct, ctx.prio);
-      }
-    }
-  }
-  pinned_rx_.clear();
-
-  stats_.bytes_received += got;
+  co_await read_done(p, ctx, got);
   co_return RecvFromResult{got, d.src, d.sport};
 }
 

@@ -10,11 +10,15 @@ namespace nectar::socket {
 using mbuf::Mbuf;
 using net::KernCtx;
 
+net::Ifnet* Socket::single_copy_ifp(net::IpAddr dst) {
+  auto route = stack_.routes().lookup(dst);
+  return route && route->ifp->single_copy() ? route->ifp : nullptr;
+}
+
 bool Socket::single_copy_eligible(const mem::Uio& data, net::IpAddr dst,
                                   std::size_t len) {
   if (opts_.policy == CopyPolicy::kNeverSingleCopy) return false;
-  auto route = stack_.routes().lookup(dst);
-  if (!route || !route->ifp->single_copy()) return false;
+  if (single_copy_ifp(dst) == nullptr) return false;
   if (!data.word_aligned()) {
     // §4.5: the CAB DMA engines require word-aligned host addresses; the
     // traditional path handles unaligned accesses.
@@ -34,9 +38,8 @@ bool Socket::single_copy_eligible(const mem::Uio& data, net::IpAddr dst,
 sim::Task<void> Socket::append_single_copy(ProcCtx& p, KernCtx ctx,
                                            const mem::Uio& chunk) {
   auto& env = stack_.env();
-  auto route = stack_.routes().lookup(tp_->key().faddr);
-  net::Ifnet* drv = route ? route->ifp : nullptr;
-  if (drv == nullptr || !drv->single_copy())
+  net::Ifnet* drv = single_copy_ifp(tp_->key().faddr);
+  if (drv == nullptr)
     throw std::logic_error("sosend: single-copy append without a CAB route");
   const std::size_t header_space = drv->tx_header_space();
   const std::size_t mss = tp_->mss();
@@ -117,16 +120,47 @@ void Socket::stage_complete(std::uint64_t id, mbuf::Wcab w) {
   }
 }
 
-// Release exactly the ranges staging pinned (asymmetric quanta would corrupt
-// the per-page pin counts).
-sim::Task<void> Socket::release_pins(ProcCtx& p, KernCtx ctx, const mem::Uio& data) {
-  (void)data;
-  auto& env = stack_.env();
+// The end of a write. Copy semantics (§4.4.2): a single-copy write returns
+// only after every byte is outboard. The final SDMA's end-of-DMA interrupt
+// wakes the writer (charged as interrupt work plus the reschedule), which
+// then releases what staging pinned.
+sim::Task<std::size_t> Socket::write_done(ProcCtx& p, KernCtx ctx, bool sc,
+                                          std::size_t total) {
+  if (sc) {
+    auto& env = stack_.env();
+    co_await tx_sync_.drain();
+    co_await env.cpu.run(sim::usec(stack_.costs().intr_us), env.intr_acct,
+                         sim::Priority::Interrupt);
+    co_await env.cpu.run(sim::usec(stack_.costs().wakeup_us), ctx.acct, ctx.prio);
+    co_await release_pins(p, ctx, pinned_tx_);
+  }
+  stats_.bytes_sent += total;
+  co_return total;
+}
+
+sim::Task<void> Socket::pin_quanta(ProcCtx& p, KernCtx ctx, const mem::Uio& u,
+                                   std::vector<mem::Uio>& pinned) {
+  constexpr std::size_t kQuantum = 32 * 1024;
+  for (const auto& v : u.iov) {
+    for (std::size_t off = 0; off < v.len; off += kQuantum) {
+      const std::size_t n = std::min(kQuantum, v.len - off);
+      co_await stack_.env().pin_cache.acquire(p.as, v.base + off, n, ctx.acct,
+                                              ctx.prio);
+      pinned.push_back(mem::Uio{u.space, {mem::UioVec{v.base + off, n}}});
+    }
+  }
+}
+
+// Release exactly the ranges that were pinned (asymmetric quanta would
+// corrupt the per-page pin counts).
+sim::Task<void> Socket::release_pins(ProcCtx& p, KernCtx ctx,
+                                     std::vector<mem::Uio>& pinned) {
   std::vector<mem::Uio> ranges;
-  ranges.swap(pinned_tx_);
+  ranges.swap(pinned);
   for (const auto& u : ranges) {
     for (const auto& v : u.iov)
-      co_await env.pin_cache.release(p.as, v.base, v.len, ctx.acct, ctx.prio);
+      co_await stack_.env().pin_cache.release(p.as, v.base, v.len, ctx.acct,
+                                              ctx.prio);
   }
 }
 
@@ -179,8 +213,7 @@ sim::Task<std::size_t> Socket::send(ProcCtx& p, mem::Uio data) {
   if (!sc && opts_.tx_align_fixup &&
       opts_.policy != CopyPolicy::kNeverSingleCopy && data.iov.size() == 1 &&
       data.iov[0].base % 4 != 0 && total >= opts_.single_copy_threshold) {
-    auto route = stack_.routes().lookup(tp_->key().faddr);
-    if (route && route->ifp->single_copy()) {
+    if (single_copy_ifp(tp_->key().faddr) != nullptr) {
       fixup = 4 - static_cast<std::size_t>(data.iov[0].base % 4);
       sc = true;  // the remainder goes single-copy
       ++stats_.align_fixups;
@@ -229,11 +262,7 @@ sim::Task<std::size_t> Socket::send(ProcCtx& p, mem::Uio data) {
     // re-check per chunk: a chunk that finds the capability gone rides the
     // traditional copy path, while `sc` still runs the tail drain/unpin for
     // whatever earlier chunks staged outboard.
-    bool sc_chunk = sc;
-    if (sc_chunk) {
-      auto route = stack_.routes().lookup(tp_->key().faddr);
-      if (!route || !route->ifp->single_copy()) sc_chunk = false;
-    }
+    bool sc_chunk = sc && single_copy_ifp(tp_->key().faddr) != nullptr;
     // Overload descriptor gate: while NetworkMemory or the DMA queues sit
     // above their watermarks, new chunks ride the copy path instead of
     // staging more outboard data — the sockbuf then fills at TCP's pace and
@@ -253,19 +282,7 @@ sim::Task<std::size_t> Socket::send(ProcCtx& p, mem::Uio data) {
     }
     done += chunk_len;
   }
-
-  if (sc) {
-    // Copy semantics (§4.4.2): return only after every byte is outboard.
-    // The final SDMA's end-of-DMA interrupt wakes us (charged as interrupt
-    // work plus the reschedule).
-    co_await tx_sync_.drain();
-    co_await env.cpu.run(sim::usec(stack_.costs().intr_us), env.intr_acct,
-                         sim::Priority::Interrupt);
-    co_await env.cpu.run(sim::usec(stack_.costs().wakeup_us), ctx.acct, ctx.prio);
-    co_await release_pins(p, ctx, data);
-  }
-  stats_.bytes_sent += total;
-  co_return total;
+  co_return co_await write_done(p, ctx, sc, total);
 }
 
 sim::Task<std::size_t> Socket::sendto(ProcCtx& p, mem::Uio data, net::IpAddr dst,
@@ -286,17 +303,7 @@ sim::Task<std::size_t> Socket::sendto(ProcCtx& p, mem::Uio data, net::IpAddr dst
   Mbuf* chain = nullptr;
   if (sc) {
     ++stats_.single_copy_writes;
-    const std::size_t quantum = 32 * 1024;
-    for (const auto& v : data.iov) {
-      for (std::size_t off = 0; off < v.len; off += quantum) {
-        const std::size_t n = std::min(quantum, v.len - off);
-        co_await env.pin_cache.acquire(p.as, v.base + off, n, ctx.acct, ctx.prio);
-        mem::Uio pinned;
-        pinned.space = data.space;
-        pinned.iov.push_back(mem::UioVec{v.base + off, n});
-        pinned_tx_.push_back(std::move(pinned));
-      }
-    }
+    co_await pin_quanta(p, ctx, data, pinned_tx_);
     tx_sync_.add(static_cast<int>(total));
     mbuf::UioWcabHdr hdr;
     hdr.sync = &tx_sync_;
@@ -308,16 +315,7 @@ sim::Task<std::size_t> Socket::sendto(ProcCtx& p, mem::Uio data, net::IpAddr dst
 
   co_await stack_.udp().output(ctx, chain, src, uport_, dst, dport,
                                opts_.udp_checksum);
-
-  if (sc) {
-    co_await tx_sync_.drain();
-    co_await env.cpu.run(sim::usec(stack_.costs().intr_us), env.intr_acct,
-                         sim::Priority::Interrupt);
-    co_await env.cpu.run(sim::usec(stack_.costs().wakeup_us), ctx.acct, ctx.prio);
-    co_await release_pins(p, ctx, data);
-  }
-  stats_.bytes_sent += total;
-  co_return total;
+  co_return co_await write_done(p, ctx, sc, total);
 }
 
 }  // namespace nectar::socket

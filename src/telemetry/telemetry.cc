@@ -193,100 +193,4 @@ core::Json Telemetry::metrics_json() const {
   return root;
 }
 
-core::Json Telemetry::merged_metrics_json(
-    const std::vector<const Telemetry*>& shards) {
-  core::Json root = core::Json::object();
-  root.set("schema_version", kSchemaVersion);
-  root.set("shards", static_cast<std::int64_t>(shards.size()));
-
-  sim::Time now = 0;
-  std::uint64_t open = 0, completed = 0, orphan_ends = 0, re_begins = 0,
-                dropped = 0, trace_events = 0;
-  LogHistogram stages[kStageCount];
-  std::map<std::string, LogHistogram> hists;
-  std::map<std::string, FlowMetric> flow_metrics;
-
-  core::Json per_shard = core::Json::array();
-  core::Json timeseries = core::Json::array();
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const Telemetry& t = *shards[s];
-    if (t.sim_.now() > now) now = t.sim_.now();
-    open += t.open_.size();
-    completed += t.completed_;
-    orphan_ends += t.orphan_ends_;
-    re_begins += t.re_begins_;
-    dropped += t.dropped_events_;
-    trace_events += t.events_.size();
-    for (std::size_t i = 0; i < kStageCount; ++i)
-      stages[i].merge(t.stage_hist_[i]);
-    for (const auto& [name, h] : t.hists_) hists[name].merge(h);
-    for (const auto& [name, m] : t.flow_metrics_) {
-      FlowMetric& dst = flow_metrics[name];
-      dst.aggregate.merge(m.aggregate);
-      for (const auto& [flow, h] : m.per_flow) dst.per_flow[flow].merge(h);
-    }
-    for (const auto& g : t.gauges_) {
-      core::Json e = core::Json::object();
-      e.set("shard", static_cast<std::int64_t>(s));
-      e.set("name", g.name);
-      e.set("pid", g.pid);
-      core::Json times = core::Json::array();
-      core::Json values = core::Json::array();
-      for (const auto& [tt, v] : g.samples) {
-        times.push_back(static_cast<std::int64_t>(tt));
-        values.push_back(v);
-      }
-      e.set("t_ns", std::move(times));
-      e.set("value", std::move(values));
-      timeseries.push_back(std::move(e));
-    }
-
-    core::Json sj = core::Json::object();
-    sj.set("shard", static_cast<std::int64_t>(s));
-    core::Json procs = core::Json::array();
-    for (const auto& p : t.processes_) procs.push_back(p);
-    sj.set("processes", std::move(procs));
-    sj.set("now_ns", static_cast<std::int64_t>(t.sim_.now()));
-    sj.set("open", static_cast<std::uint64_t>(t.open_.size()));
-    sj.set("completed", t.completed_);
-    sj.set("orphan_ends", t.orphan_ends_);
-    per_shard.push_back(std::move(sj));
-  }
-  root.set("now_ns", static_cast<std::int64_t>(now));
-
-  core::Json spans = core::Json::object();
-  spans.set("open", open);
-  spans.set("completed", completed);
-  spans.set("orphan_ends", orphan_ends);
-  spans.set("re_begins", re_begins);
-  spans.set("dropped_events", dropped);
-  spans.set("trace_events", trace_events);
-  root.set("spans", std::move(spans));
-
-  core::Json st = core::Json::object();
-  for (std::size_t i = 0; i < kStageCount; ++i)
-    st.set(stage_name(static_cast<Stage>(i)), stages[i].to_json());
-  root.set("stages", std::move(st));
-
-  core::Json fm = core::Json::object();
-  for (const auto& [name, m] : flow_metrics) {
-    core::Json e = core::Json::object();
-    e.set("aggregate", m.aggregate.to_json());
-    core::Json flows = core::Json::object();
-    for (const auto& [flow, h] : m.per_flow)
-      flows.set(std::to_string(flow), h.to_json());
-    e.set("flows", std::move(flows));
-    fm.set(name, std::move(e));
-  }
-  root.set("flow_metrics", std::move(fm));
-
-  core::Json hs = core::Json::object();
-  for (const auto& [name, h] : hists) hs.set(name, h.to_json());
-  root.set("histograms", std::move(hs));
-
-  root.set("timeseries", std::move(timeseries));
-  root.set("per_shard", std::move(per_shard));
-  return root;
-}
-
 }  // namespace nectar::telemetry

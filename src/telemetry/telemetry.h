@@ -114,16 +114,6 @@ class Telemetry {
   // Metrics document: per-stage span histograms, flow metrics, named
   // histograms, gauge time series, span bookkeeping.
   [[nodiscard]] core::Json metrics_json() const;
-  // Combine per-shard registries (in shard order) into one document with the
-  // same shape as metrics_json: histograms and flow metrics merged, gauge
-  // series concatenated, plus a "shards" array of per-registry
-  // span bookkeeping. Deterministic: depends only on registry contents and
-  // order, never on the worker schedule that produced them. Spans that cross
-  // a shard boundary (a segment sent from one host's registry and received
-  // in another's) surface as matched open/orphan_end counts — deterministic,
-  // so the oracle comparison still holds bit-for-bit.
-  [[nodiscard]] static core::Json merged_metrics_json(
-      const std::vector<const Telemetry*>& shards);
 
  private:
   struct TraceEvent {

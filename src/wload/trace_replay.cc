@@ -7,6 +7,7 @@
 
 #include "core/packet_trace.h"
 #include "net/headers.h"
+#include "wload/wapps.h"
 
 namespace nectar::wload {
 
@@ -85,10 +86,7 @@ bool TraceWorkload::from_pcap(const std::string& path, TraceWorkload& out) {
 
 namespace {
 
-struct SinkCtl {
-  bool stop = false;
-  bool exited = false;
-  std::size_t active = 0;
+struct SinkCtl : ServerCtl {
   std::uint64_t bytes_in = 0;
 };
 
@@ -105,19 +103,8 @@ sim::Task<void> sink_conn(Shim& sh, int fd, SinkCtl& ctl) {
 
 sim::Task<void> sink_server(Shim& sh, std::uint16_t port, int backlog,
                             SinkCtl& ctl) {
-  const int lfd = sh.wsocket();
-  sh.wbind(lfd, port);
-  sh.wlisten(lfd, backlog);
-  WPollFd p{lfd, WPOLLIN, 0};
-  while (!ctl.stop) {
-    if (co_await sh.wpoll(&p, 1, sim::usec(200)) <= 0) continue;
-    const int cfd = co_await sh.waccept(lfd);
-    if (cfd < 0) continue;
-    ++ctl.active;
-    sim::spawn(sink_conn(sh, cfd, ctl));
-  }
-  co_await sh.wclose(lfd);
-  ctl.exited = true;
+  return accept_loop(sh, port, backlog, ctl,
+                     [&sh, &ctl](int fd) { sim::spawn(sink_conn(sh, fd, ctl)); });
 }
 
 struct ReplayShared {

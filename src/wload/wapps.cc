@@ -22,6 +22,23 @@ std::string text_of(const mem::UserBuffer& b, std::size_t off, std::size_t len) 
   return {reinterpret_cast<const char*>(src.data()), src.size()};
 }
 
+sim::Task<void> accept_loop(Shim& sh, std::uint16_t port, int backlog,
+                            ServerCtl& ctl, std::function<void(int)> serve) {
+  const int lfd = sh.wsocket();
+  sh.wbind(lfd, port);
+  sh.wlisten(lfd, backlog);
+  WPollFd p{lfd, WPOLLIN, 0};
+  while (!ctl.stop) {
+    if (co_await sh.wpoll(&p, 1, kAcceptPoll) <= 0) continue;
+    const int cfd = co_await sh.waccept(lfd);
+    if (cfd < 0) continue;
+    ++ctl.active;
+    serve(cfd);
+  }
+  co_await sh.wclose(lfd);
+  ctl.exited = true;
+}
+
 // --------------------------------------------------------------------- echo
 
 namespace {
@@ -42,20 +59,10 @@ sim::Task<void> echo_conn(Shim& sh, int fd, EchoServerCtl& ctl) {
 
 sim::Task<void> echo_server(Shim& sh, std::uint16_t port, int backlog,
                             EchoServerCtl& ctl) {
-  const int lfd = sh.wsocket();
-  sh.wbind(lfd, port);
-  sh.wlisten(lfd, backlog);
-  WPollFd p{lfd, WPOLLIN, 0};
-  while (!ctl.stop) {
-    if (co_await sh.wpoll(&p, 1, kAcceptPoll) <= 0) continue;
-    const int cfd = co_await sh.waccept(lfd);
-    if (cfd < 0) continue;
+  return accept_loop(sh, port, backlog, ctl, [&sh, &ctl](int fd) {
     ++ctl.conns;
-    ++ctl.active;
-    sim::spawn(echo_conn(sh, cfd, ctl));
-  }
-  co_await sh.wclose(lfd);
-  ctl.exited = true;
+    sim::spawn(echo_conn(sh, fd, ctl));
+  });
 }
 
 sim::Task<void> echo_client(Shim& sh, net::IpAddr server, std::uint16_t port,
@@ -182,19 +189,10 @@ sim::Task<void> http_conn(Shim& sh, int fd,
 sim::Task<void> http_server(Shim& sh, std::uint16_t port, int backlog,
                             std::vector<std::size_t> file_sizes,
                             HttpServerCtl& ctl) {
-  const int lfd = sh.wsocket();
-  sh.wbind(lfd, port);
-  sh.wlisten(lfd, backlog);
-  WPollFd p{lfd, WPOLLIN, 0};
-  while (!ctl.stop) {
-    if (co_await sh.wpoll(&p, 1, kAcceptPoll) <= 0) continue;
-    const int cfd = co_await sh.waccept(lfd);
-    if (cfd < 0) continue;
-    ++ctl.active;
-    sim::spawn(http_conn(sh, cfd, file_sizes, ctl));
-  }
-  co_await sh.wclose(lfd);
-  ctl.exited = true;
+  return accept_loop(sh, port, backlog, ctl,
+                     [&sh, &ctl, sizes = std::move(file_sizes)](int fd) {
+                       sim::spawn(http_conn(sh, fd, sizes, ctl));
+                     });
 }
 
 sim::Task<void> http_fetch(Shim& sh, net::IpAddr server, std::uint16_t port,
@@ -335,20 +333,10 @@ sim::Task<void> rpc_conn(Shim& sh, int fd, RpcServerCtl& ctl) {
 
 sim::Task<void> rpc_server(Shim& sh, std::uint16_t port, int backlog,
                            RpcServerCtl& ctl) {
-  const int lfd = sh.wsocket();
-  sh.wbind(lfd, port);
-  sh.wlisten(lfd, backlog);
-  WPollFd p{lfd, WPOLLIN, 0};
-  while (!ctl.stop) {
-    if (co_await sh.wpoll(&p, 1, kAcceptPoll) <= 0) continue;
-    const int cfd = co_await sh.waccept(lfd);
-    if (cfd < 0) continue;
+  return accept_loop(sh, port, backlog, ctl, [&sh, &ctl](int fd) {
     ++ctl.conns;
-    ++ctl.active;
-    sim::spawn(rpc_conn(sh, cfd, ctl));
-  }
-  co_await sh.wclose(lfd);
-  ctl.exited = true;
+    sim::spawn(rpc_conn(sh, fd, ctl));
+  });
 }
 
 sim::Task<void> rpc_fanout(Shim& sh, const std::vector<RpcCall>& calls,

@@ -13,6 +13,7 @@
 // wrote is what the client got back.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,12 +22,22 @@
 
 namespace nectar::wload {
 
-// --------------------------------------------------------------------- echo
-
-struct EchoServerCtl {
+// What a shim server shares with the driver that runs it.
+struct ServerCtl {
   bool stop = false;       // set by the driver; the server exits at next poll
   bool exited = false;     // accept loop done and listener closed
   std::size_t active = 0;  // live per-connection handlers
+};
+
+// The accept loop of every shim server: listen on `port`, count each
+// accepted fd as active and hand it to `serve` (which spawns its handler),
+// and once ctl.stop is set close the listener and set ctl.exited.
+sim::Task<void> accept_loop(Shim& sh, std::uint16_t port, int backlog,
+                            ServerCtl& ctl, std::function<void(int)> serve);
+
+// --------------------------------------------------------------------- echo
+
+struct EchoServerCtl : ServerCtl {
   std::uint64_t conns = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
@@ -52,10 +63,7 @@ sim::Task<void> echo_client(Shim& sh, net::IpAddr server, std::uint16_t port,
 
 // ---------------------------------------------------------------- HTTP/1.0
 
-struct HttpServerCtl {
-  bool stop = false;
-  bool exited = false;
-  std::size_t active = 0;
+struct HttpServerCtl : ServerCtl {
   std::uint64_t requests = 0;
   std::uint64_t responses_200 = 0;
   std::uint64_t responses_404 = 0;
@@ -104,10 +112,7 @@ void encode_rpc_request(std::span<std::byte> dst16, const RpcRequest& r) noexcep
 [[nodiscard]] bool decode_rpc_request(std::span<const std::byte> src,
                                       RpcRequest& out) noexcept;
 
-struct RpcServerCtl {
-  bool stop = false;
-  bool exited = false;
-  std::size_t active = 0;
+struct RpcServerCtl : ServerCtl {
   std::uint64_t conns = 0;
   std::uint64_t calls = 0;       // well-formed requests served
   std::uint64_t bad_requests = 0;

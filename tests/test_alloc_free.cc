@@ -6,8 +6,9 @@
 //
 // This file replaces the global operator new with a counting one, which is
 // why it is a binary of its own (nectar_alloc_tests). The contract covers
-// these five structures only: the per-packet datapath above them (CPU
-// charges, CAB DMA requests, page pinning) still allocates.
+// these five structures, plus sim::spawn of a task that already exists:
+// the per-packet datapath above them (CPU charges, CAB DMA requests, page
+// pinning) still allocates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -184,6 +185,25 @@ TEST(AllocFree, ConditionWaitNotify) {
   stop = true;
   round();  // let the coroutines finish and free their frames
   EXPECT_EQ(c.waiting(), 0u);
+}
+
+// sim::spawn detaches the task's own frame: spawning a task that already
+// exists and finishes without suspending allocates nothing more.
+TEST(AllocFree, SpawnOfACreatedTaskAllocatesNothing) {
+  std::uint64_t ran = 0;
+  auto finish_at_once = [](std::uint64_t& n) -> sim::Task<void> {
+    ++n;
+    co_return;
+  };
+  std::uint64_t spawn_news = 0;
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    sim::Task<void> t = finish_at_once(ran);
+    const std::uint64_t before = news();
+    sim::spawn(std::move(t));
+    spawn_news += news() - before;
+  }
+  EXPECT_EQ(spawn_news, 0u);
+  EXPECT_EQ(ran, kOps);
 }
 
 TEST(AllocFree, MbufPoolGetFreeClusterAndChain) {

@@ -149,7 +149,7 @@ TEST(IfnetBase, SingleCopyExtensionsThrowOnPlainDevices) {
   net::KernCtx ctx{h.intr_acct()};
   mbuf::Wcab w;
   mem::Uio dst;
-  EXPECT_THROW(testutil::run_task_void(simu, drv.copy_out(ctx, w, 0, dst, nullptr)),
+  EXPECT_THROW(testutil::run_task_void(simu, drv.copy_out(ctx, w, {}, nullptr)),
                std::logic_error);
   EXPECT_THROW(testutil::run_task_void(
                    simu, drv.copy_in(ctx, dst, 0, [](mbuf::Wcab) {})),

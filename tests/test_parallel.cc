@@ -3,7 +3,7 @@
 // The load-bearing test is the determinism oracle: the 1-worker run of the
 // sharded engine executes the identical epoch schedule sequentially, so the
 // 2/4/8-worker runs of the same seeded, impaired 16-host topology must
-// produce byte-identical Netstat, telemetry, and engine-counter JSON. Around
+// produce byte-identical Netstat and engine-counter JSON. Around
 // it: RNG stream derivation (streams keyed by shard id, not thread), the
 // conservative-lookahead plumbing, and the event-queue tombstone stats the
 // per-shard Netstat section exposes.
@@ -18,7 +18,6 @@
 #include "core/sharded_testbed.h"
 #include "sim/parallel_engine.h"
 #include "sim/rng.h"
-#include "telemetry/telemetry.h"
 
 namespace nectar {
 namespace {
@@ -180,8 +179,6 @@ apps::FlowMatrixResult run_sharded(std::size_t workers, std::string* dump) {
   so.loss_rate = 0.02;
   so.reorder_rate = 0.02;
   so.corrupt_rate = 0.01;
-  so.telemetry = true;
-  so.telemetry_tick = sim::msec(1);
   ShardedTestbed tb(so);
 
   apps::FlowMatrixConfig cfg;
@@ -196,7 +193,6 @@ apps::FlowMatrixResult run_sharded(std::size_t workers, std::string* dump) {
       d += core::Netstat(*tb.clients[i]).to_json();
       d += core::Netstat(*tb.servers[i]).to_json();
     }
-    d += telemetry::Telemetry::merged_metrics_json(tb.telemetries()).dump(2);
     d += core::parallel_engine_json(tb.engine).dump(2);
     *dump = std::move(d);
   }
@@ -221,7 +217,7 @@ TEST(ParallelSharded, ImpairedMatrixCompletes) {
 
 TEST(ParallelSharded, DeterminismOracleAcrossWorkerCounts) {
   // The 1-worker sharded run is the oracle; 2/4/8 workers must reproduce its
-  // Netstat + telemetry + engine JSON byte-for-byte from the same seed.
+  // Netstat + engine JSON byte-for-byte from the same seed.
   std::string oracle;
   const auto r1 = run_sharded(1, &oracle);
   ASSERT_FALSE(oracle.empty());
