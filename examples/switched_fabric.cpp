@@ -97,7 +97,8 @@ sim::Task<void> run_flow(Cluster& c, int src, int dst, std::uint16_t port,
   while (!rx_done) co_await sim::delay(c.sim, sim::msec(10));
 }
 
-void run_mode(hippi::MacMode mode, const char* name) {
+// Returns whether all four flows completed intact.
+bool run_mode(hippi::MacMode mode, const char* name) {
   Cluster c(mode, 4);
   // Convergent load: hosts 1, 2, 3 all stream to host 0 (output 0 saturates)
   // while host 1 *also* streams to the idle host 3. In FIFO mode the 1->3
@@ -114,10 +115,12 @@ void run_mode(hippi::MacMode mode, const char* name) {
     if (!c.sim.step()) break;
   }
   const double in_sum = f10.mbps + f20.mbps + f30.mbps;
+  const bool ok = f10.ok && f20.ok && f30.ok && f13.ok;
   std::printf("%-18s  1->0: %6.1f  2->0: %6.1f  3->0: %6.1f  (sum into 0: %6.1f)"
               "   victim 1->3: %6.1f  %s\n",
               name, f10.mbps, f20.mbps, f30.mbps, in_sum, f13.mbps,
-              (f10.ok && f20.ok && f30.ok && f13.ok) ? "" : "[INCOMPLETE]");
+              ok ? "" : "[INCOMPLETE]");
+  return ok;
 }
 
 }  // namespace
@@ -126,11 +129,11 @@ int main() {
   std::printf("switched_fabric: 4 hosts, one slow (20 Mbit/s per port) HIPPI\n"
               "switch, 4 concurrent 2 MB TCP flows (three converging on host 0),\n"
               "Mbit/s per flow:\n\n");
-  run_mode(hippi::MacMode::kFifo, "FIFO MAC");
-  run_mode(hippi::MacMode::kLogicalChannels, "logical channels");
+  const bool fifo_ok = run_mode(hippi::MacMode::kFifo, "FIFO MAC");
+  const bool lc_ok = run_mode(hippi::MacMode::kLogicalChannels, "logical channels");
   std::printf("\nThe convergent flows share host 0's receive path either way; the\n"
               "victim flow 1->3 is the tell: under FIFO its packets queue behind\n"
               "1->0 packets waiting for the hot output (head-of-line blocking,\n"
               "SS2.1); logical channels let them bypass.\n");
-  return 0;
+  return fifo_ok && lc_ok ? 0 : 1;
 }

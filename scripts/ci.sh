@@ -58,6 +58,20 @@ for b in fig5_alpha400:fig5_alpha400 fig6_alpha300:fig6_alpha300 \
         "build-release/BENCH_$name.json"
 done
 
+# Same bytes for the paper benches that write no JSON (Tables 1 and 2, the
+# §7.3 model, the §2.1 HOL result, the four ablations and the share-vs-copy
+# table; under 2 s together): they print only simulated numbers, so each
+# one's stdout must equal its committed bench/expected/<bench>.txt.
+for b in table1_taxonomy table2_vmops sec7_analysis hol_channels \
+         ablation_autodma ablation_pincache ablation_threshold ablation_window \
+         share_vs_copy; do
+    "build-release/bench/$b" > "build-release/$b.txt"
+    cmp "bench/expected/$b.txt" "build-release/$b.txt" || {
+        echo "ci: $b output differs from bench/expected/$b.txt" >&2
+        exit 1
+    }
+done
+
 # Schema validation: every benchmark artifact — committed or freshly emitted
 # by the runs above — must carry the versioned-schema marker so
 # downstream consumers can detect layout changes.
@@ -90,13 +104,16 @@ done
 # ECN hooks poll resource samplers (closures over pool/arbiter/network-memory
 # internals) from deep inside the send and SYN paths, and the ops console
 # holds host references across periodic coroutine ticks — both are fresh
-# aliasing surfaces.  The 10x flash-crowd soak stays out of this fast lane
-# and runs under TSan below instead.
+# aliasing surfaces.  The CAB unit suites (CabFixture, NetworkMemory) and the
+# driver path suite (CabDriverPaths) drive the DMA engines' shared
+# post/serve/abort lifecycle directly, including completions that outlive a
+# reset.  The 10x flash-crowd soak stays out of this fast lane and runs under
+# TSan below instead.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build build-asan -j"$jobs"
 ctest --test-dir build-asan --output-on-failure -j"$jobs" \
-      -R 'ConnTable|FlowMatrix|FlowSoak|flow_scaling|Fault|bench_fault_recovery|Telemetry|LogHistogram|PacketTraceDropped|bench_latency|Offload|TsoCutFuzz|bench_offload|TimerWheel|SynCookie|bench_churn|Wload|PacketTrace\.PcapRoundTrip|bench_workload|ArbPolicyNames|WeightedFair|OverloadManager|OverloadEndToEnd|OverloadNetstat|OpsConsole|bench_overload'
+      -R 'CabFixture|NetworkMemory|CabDriverPaths|ConnTable|FlowMatrix|FlowSoak|flow_scaling|Fault|bench_fault_recovery|Telemetry|LogHistogram|PacketTraceDropped|bench_latency|Offload|TsoCutFuzz|bench_offload|TimerWheel|SynCookie|bench_churn|Wload|PacketTrace\.PcapRoundTrip|bench_workload|ArbPolicyNames|WeightedFair|OverloadManager|OverloadEndToEnd|OverloadNetstat|OpsConsole|bench_overload'
 
 # ThreadSanitizer lane over the parallel sharded engine: the barrier,
 # epoch-publication, and outbox/drain handoffs are the only places the

@@ -72,7 +72,6 @@ class ArbQueue {
  public:
   explicit ArbQueue(ArbPolicy p = ArbPolicy::kFifo) : policy_(p) {}
 
-  void set_policy(ArbPolicy p) noexcept { policy_ = p; }
   [[nodiscard]] ArbPolicy policy() const noexcept { return policy_; }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }

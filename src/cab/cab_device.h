@@ -33,9 +33,8 @@ class CabDevice final : public mbuf::OutboardOwner {
       : addr_(addr),
         nm_(cfg.memory_bytes, kCabPageSize),
         sdma_(sim, nm_, cfg.sdma),
-        mdma_xmit_(sim, nm_, fabric, cfg.mdma),
+        mdma_xmit_(sim, nm_, fabric, sdma_.checksum(), cfg.mdma),
         mdma_recv_(sim, nm_, sdma_, cfg.mdma) {
-    mdma_xmit_.set_checksum(&sdma_.checksum());
     fabric.attach(addr, &mdma_recv_);
   }
 
@@ -58,17 +57,27 @@ class CabDevice final : public mbuf::OutboardOwner {
 
   // --- fault injection / reset ----------------------------------------------
 
+  // Stall or restart every engine on the board.
+  void set_stalled(bool s) {
+    sdma_.set_stalled(s);
+    mdma_xmit_.set_stalled(s);
+    mdma_recv_.set_stalled(s);
+  }
+
+  // Adaptor reset: fail everything queued on both DMA engines and disown
+  // their in-flight transfers (DmaEngine::abort_all).
+  void abort_all() {
+    sdma_.abort_all();
+    mdma_xmit_.abort_all();
+  }
+
   // Firmware stall: the on-board control program wedges and every engine
   // stops serving requests. Ending the stall (the fault window closing)
   // clears only the status bit the driver's watchdog reads — the engines
-  // stay wedged until the driver resets the board (CabDriver::reset).
+  // stay wedged until the driver resets the board (CabDriver::start_reset).
   void set_fw_stalled(bool s) {
     fw_stalled_ = s;
-    if (s) {
-      sdma_.set_stalled(true);
-      mdma_xmit_.set_stalled(true);
-      mdma_recv_.set_stalled(true);
-    }
+    if (s) set_stalled(true);
   }
   [[nodiscard]] bool fw_stalled() const noexcept { return fw_stalled_; }
 

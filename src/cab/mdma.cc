@@ -5,76 +5,46 @@
 #include <stdexcept>
 
 #include "checksum/wire.h"
-#include "telemetry/telemetry.h"
 
 namespace nectar::cab {
 
-void MdmaXmit::set_telemetry(telemetry::Telemetry* tel, int pid) {
-  tel_ = tel;
-  tel_pid_ = pid;
-  tel_ns_ = tel ? tel->alloc_key_namespace() : 0;
-}
-
-void MdmaXmit::post(Request r) {
-  r.id = next_id_++;
-  if (tel_ != nullptr)
-    tel_->span_begin(telemetry::Stage::kMdmaQueue, tel_pid_, tkey(r.id), r.flow);
-  q_.push(std::move(r));
-  kick();
-}
-
-void MdmaXmit::kick() {
-  if (busy_ || stalled_ || q_.empty()) return;
-  busy_ = true;
-  Request r = q_.pop();
-  if (tel_ != nullptr) {
-    tel_->span_end(telemetry::Stage::kMdmaQueue, tkey(r.id));
-    tel_->span_begin(telemetry::Stage::kMdmaXfer, tel_pid_, tkey(r.id), r.flow);
-  }
-
+void MdmaXmit::start(Request r) {
   if (r.tso_seg_payload > 0 && r.len > r.tso_hdr_len &&
       r.len - r.tso_hdr_len > r.tso_seg_payload) {
-    kick_tso(std::move(r));
+    start_tso(std::move(r));
     return;
   }
-
-  const sim::Duration t =
-      cfg_.setup +
-      sim::transfer_time(static_cast<std::int64_t>(r.len), cfg_.line_rate_bps);
-  stats_.busy_time += t;
-
-  const bool fail = inject_errors_ > 0;
-  if (fail) --inject_errors_;
-
   // Snapshot the bytes at transmit time (a retransmission may rewrite the
   // header while an earlier copy is still "on the wire").
   auto pkt = std::make_shared<hippi::Packet>();
   auto src = nm_.bytes(r.handle, r.off, r.len);
   pkt->bytes.assign(src.begin(), src.end());
+  const std::size_t len = r.len;
+  transmit(std::move(pkt), std::make_shared<Request>(std::move(r)), len, true, false);
+}
 
-  auto done = std::make_shared<std::function<void()>>(std::move(r.on_complete));
-  const std::uint64_t epoch = epoch_;
-  const std::uint64_t rid = r.id;
-  sim_.after(t, [this, pkt, done, fail, epoch, rid] {
-    if (epoch != epoch_) {
-      // Aborted mid-serialization by a reset: the frame is cut short on the
-      // wire. Unwind references; abort_all already reset engine state.
-      ++stats_.aborted;
-      if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kMdmaXfer, tkey(rid));
-      if (*done) (*done)();
-      return;
+void MdmaXmit::transmit(std::shared_ptr<hippi::Packet> pkt, std::shared_ptr<Request> req,
+                        std::size_t cum_bytes, bool last, bool fanout) {
+  const sim::Duration at =
+      cfg_.setup + sim::transfer_time(static_cast<std::int64_t>(cum_bytes),
+                                      cfg_.line_rate_bps);
+  if (last) stats_.busy_time += at;
+  const bool fail = take_error();
+  sim_.after(at, [this, pkt, req, fail, last, fanout, epoch = epoch()] {
+    // A packet a reset aborted mid-serialization is cut short on the wire.
+    if (current(epoch)) {
+      if (fail) {
+        ++stats_.errors;
+      } else {
+        ++stats_.packets;
+        if (fanout) ++stats_.tso_wire_segs;
+        stats_.bytes += pkt->size();
+        fabric_->submit(std::move(*pkt));
+      }
     }
-    if (fail) {
-      ++stats_.errors;
-    } else {
-      ++stats_.packets;
-      stats_.bytes += pkt->size();
-      fabric_->submit(std::move(*pkt));
-    }
-    busy_ = false;
-    if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kMdmaXfer, tkey(rid));
-    if (*done) (*done)();
-    kick();
+    if (!last) return;
+    if (fanout) spans_.end(telemetry::Stage::kTsoFanout, spans_.key(req->id));
+    finish(*req, epoch);
   });
 }
 
@@ -84,7 +54,7 @@ void MdmaXmit::kick() {
 // the slice sums the SDMA saved at staging time (ChecksumEngine::combine
 // machinery — no second pass over the data). The whole burst costs one
 // engine setup: that amortization, not the media time, is the offload win.
-void MdmaXmit::kick_tso(Request r) {
+void MdmaXmit::start_tso(Request r) {
   const std::size_t hl = r.tso_hdr_len;
   const std::size_t seg_payload = r.tso_seg_payload;
   const std::size_t payload = r.len - hl;
@@ -96,11 +66,11 @@ void MdmaXmit::kick_tso(Request r) {
   const std::size_t thl = hl - tcp_off;  // transport header length
 
   ++stats_.tso_requests;
-  if (tel_ != nullptr)
-    tel_->span_begin(telemetry::Stage::kTsoFanout, tel_pid_, tkey(r.id), r.flow);
+  spans_.begin(telemetry::Stage::kTsoFanout, spans_.key(r.id), r.flow);
 
   // Snapshot the super-segment once (same rule as the single-packet path).
   auto src = nm_.bytes(r.handle, r.off, r.len);
+  const std::size_t body_at = r.off + hl;  // buffer offset of the payload
 
   // Pseudo-header template from the replicated IP header.
   checksum::PseudoHeader ph;
@@ -110,9 +80,7 @@ void MdmaXmit::kick_tso(Request r) {
   const std::uint32_t base_seq = wire::load_be32(src.data() + tcp_off + 4);
   const std::byte tmpl_flags = src[tcp_off + 13];
 
-  auto done = std::make_shared<std::function<void()>>(std::move(r.on_complete));
-  const std::uint64_t epoch = epoch_;
-  const std::uint64_t rid = r.id;
+  auto req = std::make_shared<Request>(std::move(r));
   std::size_t cum_bytes = 0;
   for (std::size_t i = 0; i < nsegs; ++i) {
     const std::size_t slice = std::min(seg_payload, payload - i * seg_payload);
@@ -140,78 +108,23 @@ void MdmaXmit::kick_tso(Request r) {
     if (!last) b[tcp_off + 13] = tmpl_flags & std::byte{0xf6};  // ~(FIN|PSH)
     wire::store_be16(b + tcp_off + 16, 0);
     ph.length = static_cast<std::uint16_t>(thl + slice);
-    const std::span<const std::byte> th(b + tcp_off, thl);
     std::uint32_t sum = checksum::pseudo_sum(ph);
-    sum += csum_ != nullptr ? csum_->header_sum(th) : checksum::ones_sum(th);
+    sum += csum_.header_sum(std::span<const std::byte>(b + tcp_off, thl));
     std::uint32_t body;
-    if (auto saved = nm_.seg_slice_sum(r.handle, r.off + hl + i * seg_payload, slice)) {
+    if (auto saved = nm_.seg_slice_sum(req->handle, body_at + i * seg_payload, slice)) {
       body = *saved;
     } else {
-      const std::span<const std::byte> bs(b + hl, slice);
       // No saved slice sum: a fresh pass through the summation unit (which,
       // when failed, yields a deterministically bad checksum — the receiver
       // drops the segment and the transport retries after recovery).
-      body = csum_ != nullptr ? csum_->sum_from(bs, 0) : checksum::ones_sum(bs);
+      body = csum_.sum_from(std::span<const std::byte>(b + hl, slice), 0);
     }
     sum = checksum::combine(sum, body, thl);
     wire::store_be16(b + tcp_off + 16, checksum::finish(sum));
 
-    const bool fail = inject_errors_ > 0;  // per wire segment, like the wire
-    if (fail) --inject_errors_;
     cum_bytes += hl + slice;
-    const sim::Duration at =
-        cfg_.setup + sim::transfer_time(static_cast<std::int64_t>(cum_bytes),
-                                        cfg_.line_rate_bps);
-    if (last) stats_.busy_time += at;
-    sim_.after(at, [this, pkt, done, fail, epoch, rid, last] {
-      if (epoch != epoch_) {
-        if (last) {
-          ++stats_.aborted;
-          if (tel_ != nullptr) {
-            tel_->span_end(telemetry::Stage::kTsoFanout, tkey(rid));
-            tel_->span_end(telemetry::Stage::kMdmaXfer, tkey(rid));
-          }
-          if (*done) (*done)();
-        }
-        return;
-      }
-      if (fail) {
-        ++stats_.errors;
-      } else {
-        ++stats_.packets;
-        ++stats_.tso_wire_segs;
-        stats_.bytes += pkt->size();
-        fabric_->submit(std::move(*pkt));
-      }
-      if (last) {
-        busy_ = false;
-        if (tel_ != nullptr) {
-          tel_->span_end(telemetry::Stage::kTsoFanout, tkey(rid));
-          tel_->span_end(telemetry::Stage::kMdmaXfer, tkey(rid));
-        }
-        if (*done) (*done)();
-        kick();
-      }
-    });
+    transmit(std::move(pkt), req, cum_bytes, last, true);
   }
-}
-
-void MdmaXmit::abort_all() {
-  ++epoch_;
-  busy_ = false;
-  std::vector<Request> dropped;
-  while (!q_.empty()) dropped.push_back(q_.pop());
-  for (auto& r : dropped) {
-    ++stats_.aborted;
-    if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kMdmaQueue, tkey(r.id));
-    if (r.on_complete) r.on_complete();
-  }
-}
-
-void MdmaRecv::set_telemetry(telemetry::Telemetry* tel, int pid) {
-  tel_ = tel;
-  tel_pid_ = pid;
-  tel_ns_ = tel ? tel->alloc_key_namespace() : 0;
 }
 
 void MdmaRecv::hippi_receive(hippi::Packet&& p) {
@@ -227,11 +140,7 @@ void MdmaRecv::hippi_receive(hippi::Packet&& p) {
   }
   ++stats_.packets;
   stats_.bytes += len;
-  std::uint64_t span_key = 0;
-  if (tel_ != nullptr) {
-    span_key = tel_ns_ | (++tel_seq_ & ((1ull << 40) - 1));
-    tel_->span_begin(telemetry::Stage::kRecvDma, tel_pid_, span_key);
-  }
+  const std::uint64_t span_key = spans_.begin_next(telemetry::Stage::kRecvDma);
 
   // Data lands in network memory as it comes off the media; the checksum is
   // computed during that transfer (so it is available with the packet).
@@ -261,7 +170,7 @@ void MdmaRecv::hippi_receive(hippi::Packet&& p) {
   const bool release_after = fits;
   req.on_complete = [this, desc, handle, release_after,
                      span_key](const SdmaRequest& done) {
-    if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kRecvDma, span_key);
+    spans_.end(telemetry::Stage::kRecvDma, span_key);
     if (done.failed) {
       // The head never reached host memory; the host is never notified, so
       // the packet is lost end-to-end. Release the outboard buffer in both
@@ -277,7 +186,7 @@ void MdmaRecv::hippi_receive(hippi::Packet&& p) {
   // host has wedged the queue, drop the packet (as real hardware would).
   if (!sdma_.post(std::move(req))) {
     ++stats_.drops_no_memory;
-    if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kRecvDma, span_key);
+    spans_.end(telemetry::Stage::kRecvDma, span_key);
     nm_.release(*h);
   }
 }

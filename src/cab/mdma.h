@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "cab/sdma.h"
@@ -31,95 +32,69 @@ struct MdmaConfig {
   ArbPolicy arb = ArbPolicy::kFifo;  // transmit service discipline across flows
 };
 
-class MdmaXmit {
+struct MdmaRequest {
+  Handle handle = 0;
+  std::size_t len = 0;  // bytes to transmit from `off`
+  std::uint32_t flow = 0;  // owning transport flow (0 = unattributed)
+  std::function<void()> on_complete;
+  std::size_t off = 0;  // first buffer byte to transmit
+  // Large-segment fan-out (TSO): when tso_seg_payload > 0 and the transport
+  // payload (len - tso_hdr_len) exceeds it, the engine cuts the payload into
+  // wire segments of at most tso_seg_payload bytes, replicating the first
+  // tso_hdr_len header bytes per segment with length/sequence/checksum
+  // fixups — one engine setup for the whole burst.
+  std::size_t tso_hdr_len = 0;
+  std::size_t tso_seg_payload = 0;
+  std::uint64_t id = 0;  // assigned by the engine (last: not brace-initialized)
+};
+
+struct MdmaXmitStats {
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  sim::Duration busy_time = 0;
+  std::uint64_t errors = 0;   // injected media errors (packet never sent)
+  std::uint64_t aborted = 0;  // requests dropped by abort_all (reset)
+  std::uint64_t tso_requests = 0;   // multi-segment fan-outs
+  std::uint64_t tso_wire_segs = 0;  // wire packets those produced
+};
+
+// The queue, stall, error-injection, reset and span lifecycle is DmaEngine's.
+// An injected error fails the next wire packet to start (each segment of a
+// fan-out counts): its completion still fires, so refcounts drop, but nothing
+// reaches the fabric — a wire loss, from the transport's point of view.
+class MdmaXmit : public DmaEngine<MdmaXmit, MdmaRequest, MdmaXmitStats> {
  public:
+  using Request = MdmaRequest;
+
+  // Per-segment checksum fixups during fan-out use the board's checksum unit.
   MdmaXmit(sim::Simulator& sim, NetworkMemory& nm, hippi::Fabric& fabric,
-           const MdmaConfig& cfg)
-      : sim_(sim), nm_(nm), fabric_(&fabric), cfg_(cfg), q_(cfg.arb) {}
+           ChecksumEngine& csum, const MdmaConfig& cfg)
+      : DmaEngine(sim, cfg.arb, telemetry::Stage::kMdmaQueue,
+                  telemetry::Stage::kMdmaXfer),
+        nm_(nm),
+        fabric_(&fabric),
+        csum_(csum),
+        cfg_(cfg) {}
 
-  struct Request {
-    Handle handle = 0;
-    std::size_t len = 0;  // bytes to transmit from `off`
-    std::uint32_t flow = 0;  // owning transport flow (0 = unattributed)
-    std::function<void()> on_complete;
-    std::size_t off = 0;  // first buffer byte to transmit
-    // Large-segment fan-out (TSO): when tso_seg_payload > 0 and the transport
-    // payload (len - tso_hdr_len) exceeds it, the engine cuts the payload into
-    // wire segments of at most tso_seg_payload bytes, replicating the first
-    // tso_hdr_len header bytes per segment with length/sequence/checksum
-    // fixups — one engine setup for the whole burst.
-    std::size_t tso_hdr_len = 0;
-    std::size_t tso_seg_payload = 0;
-    std::uint64_t id = 0;  // assigned by the engine (last: not brace-initialized)
-  };
-
-  void post(Request r);
-
-  // Per-segment checksum fixups during fan-out use the shared checksum unit
-  // (wired by CabDevice); unset, the engine falls back to an ideal adder.
-  void set_checksum(ChecksumEngine* c) noexcept { csum_ = c; }
-
-  struct Stats {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    sim::Duration busy_time = 0;
-    std::uint64_t errors = 0;   // injected media errors (packet never sent)
-    std::uint64_t aborted = 0;  // requests dropped by abort_all (reset)
-    std::uint64_t tso_requests = 0;   // multi-segment fan-outs
-    std::uint64_t tso_wire_segs = 0;  // wire packets those produced
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] bool idle() const noexcept { return !busy_ && q_.empty(); }
-  [[nodiscard]] const ArbQueue<Request>& arb() const noexcept { return q_; }
-  void set_arb_policy(ArbPolicy p) noexcept { q_.set_policy(p); }
-  void set_flow_weight(std::uint32_t flow, std::uint32_t weight) {
-    q_.set_flow_weight(flow, weight);
-  }
-
-  // Opt-in span tracing: queue wait (mdma_queue) and serialization time
-  // (mdma_xfer) per transmit.
-  void set_telemetry(telemetry::Telemetry* tel, int pid);
-
-  // --- fault injection / reset ----------------------------------------------
-
-  // Stall: stop starting transmits; an in-flight packet still serializes.
-  void set_stalled(bool s) {
-    stalled_ = s;
-    if (!s) kick();
-  }
-  [[nodiscard]] bool stalled() const noexcept { return stalled_; }
-
-  // The next `n` transmits fail at the media: completion fires (refcounts
-  // must still drop) but nothing reaches the fabric — a wire loss, from the
-  // transport's point of view.
-  void inject_errors(std::uint32_t n) noexcept { inject_errors_ += n; }
-
-  // Adaptor reset: drop everything queued and disown the in-flight transmit.
-  // Completions fire so buffer references unwind; no packet hits the wire.
-  void abort_all();
+  void post(Request r) { enqueue(std::move(r)); }
 
  private:
-  void kick();
-  void kick_tso(Request r);
-  [[nodiscard]] std::uint64_t tkey(std::uint64_t id) const noexcept {
-    return tel_ns_ | (id & ((1ull << 40) - 1));
+  friend DmaEngine;
+  void start(Request r);
+  void start_tso(Request r);
+  static void complete(Request& r, bool /*aborted*/) {
+    if (r.on_complete) r.on_complete();
   }
+  // One wire packet of `req` leaves the engine once the media has carried
+  // `cum_bytes` of the request: onto the fabric, or nowhere when it takes an
+  // injected error. The last packet ends the transfer.
+  void transmit(std::shared_ptr<hippi::Packet> pkt, std::shared_ptr<Request> req,
+                std::size_t cum_bytes, bool last, bool fanout);
 
-  sim::Simulator& sim_;
   NetworkMemory& nm_;
   hippi::Fabric* fabric_;
-  ChecksumEngine* csum_ = nullptr;
+  ChecksumEngine& csum_;
   MdmaConfig cfg_;
-  bool busy_ = false;
-  bool stalled_ = false;
-  std::uint32_t inject_errors_ = 0;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t next_id_ = 1;
-  telemetry::Telemetry* tel_ = nullptr;
-  int tel_pid_ = 0;
-  std::uint64_t tel_ns_ = 0;
-  ArbQueue<Request> q_;
-  Stats stats_;
 };
 
 // Receive descriptor handed to the host interrupt handler.
@@ -145,7 +120,7 @@ class MdmaRecv final : public hippi::Endpoint {
   void set_deliver(std::function<void(RecvDesc&&)> fn) { deliver_ = std::move(fn); }
 
   // Opt-in span tracing: recv_dma spans cover frame-landed -> host notified.
-  void set_telemetry(telemetry::Telemetry* tel, int pid);
+  void set_telemetry(telemetry::Telemetry* tel, int pid) { spans_.attach(tel, pid); }
 
   void hippi_receive(hippi::Packet&& p) override;
 
@@ -169,10 +144,7 @@ class MdmaRecv final : public hippi::Endpoint {
   NetworkMemory& nm_;
   SdmaEngine& sdma_;
   MdmaConfig cfg_;
-  telemetry::Telemetry* tel_ = nullptr;
-  int tel_pid_ = 0;
-  std::uint64_t tel_ns_ = 0;
-  std::uint64_t tel_seq_ = 0;
+  telemetry::SpanSource spans_;
   bool stalled_ = false;
   std::uint32_t autodma_words_ = 176;  // paper's value
   std::uint16_t rx_skip_words_ = 20;   // HIPPI + IP headers

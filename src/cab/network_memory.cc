@@ -5,15 +5,8 @@
 #include <stdexcept>
 
 #include "checksum/internet_checksum.h"
-#include "telemetry/telemetry.h"
 
 namespace nectar::cab {
-
-void NetworkMemory::set_telemetry(telemetry::Telemetry* tel, int pid) {
-  tel_ = tel;
-  tel_pid_ = pid;
-  tel_ns_ = tel ? tel->alloc_key_namespace() : 0;
-}
 
 NetworkMemory::NetworkMemory(std::size_t bytes, std::size_t page_size)
     : page_size_(page_size),
@@ -63,10 +56,7 @@ std::optional<Handle> NetworkMemory::alloc(std::size_t len) {
     s.len = len;
     s.refs = 1;
     s.live = true;
-    if (tel_ != nullptr) {
-      s.tel_key = tel_ns_ | (++tel_seq_ & ((1ull << 40) - 1));
-      tel_->span_begin(telemetry::Stage::kOutboard, tel_pid_, s.tel_key);
-    }
+    s.span_key = spans_.begin_next(telemetry::Stage::kOutboard);
     ++live_;
     max_used_pages_ = std::max(max_used_pages_, page_used_.size() - free_pages_);
     max_live_ = std::max(max_live_, live_);
@@ -95,8 +85,7 @@ void NetworkMemory::release(Handle h) {
   for (std::size_t i = 0; i < s.npages; ++i) page_used_[s.first_page + i] = false;
   free_pages_ += s.npages;
   s.live = false;
-  if (tel_ != nullptr && s.tel_key != 0)
-    tel_->span_end(telemetry::Stage::kOutboard, s.tel_key);
+  if (s.span_key != 0) spans_.end(telemetry::Stage::kOutboard, s.span_key);
   --live_;
   free_slots_.push_back(h);
 }

@@ -17,9 +17,7 @@
 #include <span>
 #include <vector>
 
-namespace nectar::telemetry {
-class Telemetry;
-}
+#include "telemetry/span_source.h"
 
 namespace nectar::cab {
 
@@ -95,7 +93,7 @@ class NetworkMemory {
   // Opt-in span tracing: outboard residency (alloc -> last ref released) per
   // packet buffer. Handles recycle, so spans are keyed by an allocation
   // sequence number, not the handle.
-  void set_telemetry(telemetry::Telemetry* tel, int pid);
+  void set_telemetry(telemetry::Telemetry* tel, int pid) { spans_.attach(tel, pid); }
 
  private:
   struct SegSums {
@@ -113,7 +111,7 @@ class NetworkMemory {
     std::optional<std::uint32_t> body_sum;
     std::optional<SegSums> seg_sums;
     bool live = false;
-    std::uint64_t tel_key = 0;
+    std::uint64_t span_key = 0;
   };
 
   const Slot& slot(Handle h) const;
@@ -130,10 +128,7 @@ class NetworkMemory {
   std::size_t next_fit_ = 0;  // rotating first-fit cursor
   std::size_t max_used_pages_ = 0;
   std::size_t max_live_ = 0;
-  telemetry::Telemetry* tel_ = nullptr;
-  int tel_pid_ = 0;
-  std::uint64_t tel_ns_ = 0;
-  std::uint64_t tel_seq_ = 0;
+  telemetry::SpanSource spans_;
   bool force_exhausted_ = false;
   std::vector<std::size_t> leaked_;  // page indices held by the leak fault
 };

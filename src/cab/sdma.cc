@@ -4,15 +4,8 @@
 #include <stdexcept>
 
 #include "checksum/wire.h"
-#include "telemetry/telemetry.h"
 
 namespace nectar::cab {
-
-void SdmaEngine::set_telemetry(telemetry::Telemetry* tel, int pid) {
-  tel_ = tel;
-  tel_pid_ = pid;
-  tel_ns_ = tel ? tel->alloc_key_namespace() : 0;
-}
 
 bool SdmaEngine::post(SdmaRequest r) {
   if (queue_space() == 0) return false;
@@ -23,72 +16,32 @@ bool SdmaEngine::post(SdmaRequest r) {
     if (seg.bytes.empty())
       throw std::logic_error("SdmaEngine: empty segment");
   }
-  r.id = next_id_++;
-  if (tel_ != nullptr)
-    tel_->span_begin(telemetry::Stage::kSdmaQueue, tel_pid_, tkey(r.id), r.flow);
-  q_.push(std::move(r));
-  kick();
+  enqueue(std::move(r));
   return true;
 }
 
-void SdmaEngine::kick() {
-  if (busy_ || stalled_ || q_.empty()) return;
-  busy_ = true;
-  SdmaRequest r = q_.pop();
-  if (tel_ != nullptr) {
-    tel_->span_end(telemetry::Stage::kSdmaQueue, tkey(r.id));
-    tel_->span_begin(telemetry::Stage::kSdmaXfer, tel_pid_, tkey(r.id), r.flow);
-  }
-
+void SdmaEngine::start(SdmaRequest r) {
   std::size_t total = 0;
   for (const auto& seg : r.segs) total += seg.bytes.size();
   const sim::Duration t = cfg_.setup + sim::transfer_time(
                                            static_cast<std::int64_t>(total),
                                            cfg_.bandwidth_bps);
   stats_.busy_time += t;
-
   auto shared = std::make_shared<SdmaRequest>(std::move(r));
-  const std::uint64_t epoch = epoch_;
-  sim_.after(t, [this, shared, epoch] {
-    if (epoch != epoch_) {
-      // abort_all ran while this transfer was on the bus: the engine has been
-      // reinitialized, so report failure and leave busy_/queue state alone —
-      // abort_all already reset them.
-      shared->failed = true;
-      ++stats_.requests;
-      ++stats_.aborted;
-      if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kSdmaXfer, tkey(shared->id));
-      if (shared->on_complete) shared->on_complete(*shared);
-      return;
-    }
-    execute(*shared);
-    busy_ = false;
-    if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kSdmaXfer, tkey(shared->id));
-    if (shared->on_complete) shared->on_complete(*shared);
-    kick();
+  sim_.after(t, [this, shared, epoch = epoch()] {
+    if (current(epoch)) execute(*shared);
+    finish(*shared, epoch);
   });
 }
 
-void SdmaEngine::abort_all() {
-  ++epoch_;  // disowns the in-flight transfer, if any
-  busy_ = false;
-  // Drain first: a failure callback may post a fresh request, which belongs
-  // to the new epoch and must not be swept up in this abort.
-  std::vector<SdmaRequest> dropped;
-  while (!q_.empty()) dropped.push_back(q_.pop());
-  for (auto& r : dropped) {
-    r.failed = true;
-    ++stats_.requests;
-    ++stats_.aborted;
-    if (tel_ != nullptr) tel_->span_end(telemetry::Stage::kSdmaQueue, tkey(r.id));
-    if (r.on_complete) r.on_complete(r);
-  }
+void SdmaEngine::complete(SdmaRequest& r, bool aborted) {
+  ++stats_.requests;
+  if (aborted) r.failed = true;
+  if (r.on_complete) r.on_complete(r);
 }
 
 void SdmaEngine::execute(SdmaRequest& r) {
-  ++stats_.requests;
-  if (inject_errors_ > 0) {
-    --inject_errors_;
+  if (take_error()) {
     r.failed = true;
     ++stats_.errors;
     return;

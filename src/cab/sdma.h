@@ -19,15 +19,10 @@
 #include <span>
 #include <vector>
 
-#include "cab/arbiter.h"
 #include "cab/checksum_engine.h"
+#include "cab/dma_engine.h"
 #include "cab/network_memory.h"
 #include "mem/address_space.h"
-#include "sim/event_queue.h"
-
-namespace nectar::telemetry {
-class Telemetry;
-}
 
 namespace nectar::cab {
 
@@ -74,78 +69,42 @@ struct SdmaConfig {
   ArbPolicy arb = ArbPolicy::kFifo;     // service discipline across flows
 };
 
-class SdmaEngine {
+struct SdmaStats {
+  std::uint64_t requests = 0;  // completions, failed ones included
+  std::uint64_t bytes_to_cab = 0;
+  std::uint64_t bytes_from_cab = 0;
+  sim::Duration busy_time = 0;
+  std::uint64_t errors = 0;    // injected transfer / checksum-parity errors
+  std::uint64_t aborted = 0;   // requests failed by abort_all (reset)
+};
+
+// The queue, stall, error-injection, reset and span lifecycle is DmaEngine's.
+// An injected error fails the next request to complete: no bytes move.
+class SdmaEngine : public DmaEngine<SdmaEngine, SdmaRequest, SdmaStats> {
  public:
   SdmaEngine(sim::Simulator& sim, NetworkMemory& nm, const SdmaConfig& cfg)
-      : sim_(sim), nm_(nm), cfg_(cfg), q_(cfg.arb) {}
+      : DmaEngine(sim, cfg.arb, telemetry::Stage::kSdmaQueue,
+                  telemetry::Stage::kSdmaXfer),
+        nm_(nm),
+        cfg_(cfg) {}
 
   // Returns false if the command queue is full (request not accepted).
   bool post(SdmaRequest r);
 
   [[nodiscard]] std::size_t queue_space() const noexcept {
-    return cfg_.queue_depth - q_.size() - (busy_ ? 1 : 0);
+    return cfg_.queue_depth - arb().size() - (busy() ? 1 : 0);
   }
-  [[nodiscard]] bool idle() const noexcept { return !busy_ && q_.empty(); }
-
-  struct Stats {
-    std::uint64_t requests = 0;  // completions, failed ones included
-    std::uint64_t bytes_to_cab = 0;
-    std::uint64_t bytes_from_cab = 0;
-    sim::Duration busy_time = 0;
-    std::uint64_t errors = 0;    // injected transfer / checksum-parity errors
-    std::uint64_t aborted = 0;   // requests failed by abort_all (reset)
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] ChecksumEngine& checksum() noexcept { return csum_; }
-  [[nodiscard]] const ArbQueue<SdmaRequest>& arb() const noexcept { return q_; }
-  void set_arb_policy(ArbPolicy p) noexcept { q_.set_policy(p); }
-  void set_flow_weight(std::uint32_t flow, std::uint32_t weight) {
-    q_.set_flow_weight(flow, weight);
-  }
-
-  // Opt-in span tracing: queue wait (sdma_queue) and bus time (sdma_xfer)
-  // per request, keyed by request id under a private key namespace.
-  void set_telemetry(telemetry::Telemetry* tel, int pid);
-
-  // --- fault injection / reset ----------------------------------------------
-
-  // Stall: the engine stops starting new requests (an in-flight transfer
-  // still completes — it was already on the bus). Unstalling kicks the queue.
-  void set_stalled(bool s) {
-    stalled_ = s;
-    if (!s) kick();
-  }
-  [[nodiscard]] bool stalled() const noexcept { return stalled_; }
-
-  // The next `n` requests that reach the engine head fail (transfer error).
-  void inject_errors(std::uint32_t n) noexcept { inject_errors_ += n; }
-
-  // Adaptor reset: fail everything queued and disown the in-flight transfer
-  // (its completion still fires, with failed set). Network memory contents
-  // are untouched — reset reinitializes the engines, not the packet store.
-  void abort_all();
 
  private:
-  void kick();
+  friend DmaEngine;
+  void start(SdmaRequest r);
+  void complete(SdmaRequest& r, bool aborted);
   void execute(SdmaRequest& r);
-  [[nodiscard]] std::uint64_t tkey(std::uint64_t id) const noexcept {
-    return tel_ns_ | (id & ((1ull << 40) - 1));
-  }
 
-  sim::Simulator& sim_;
   NetworkMemory& nm_;
   SdmaConfig cfg_;
   ChecksumEngine csum_;
-  telemetry::Telemetry* tel_ = nullptr;
-  int tel_pid_ = 0;
-  std::uint64_t tel_ns_ = 0;
-  bool busy_ = false;
-  bool stalled_ = false;
-  std::uint32_t inject_errors_ = 0;
-  std::uint64_t epoch_ = 0;  // bumped by abort_all; stale completions fail
-  std::uint64_t next_id_ = 1;
-  ArbQueue<SdmaRequest> q_;
-  Stats stats_;
 };
 
 }  // namespace nectar::cab

@@ -800,11 +800,8 @@ void CabDriver::start_reset() {
   // Quiesce, then fail out everything in flight. Network memory contents and
   // refcounts survive — a reset reinitializes the engines, not the packet
   // store — so outboard WCAB data stays valid for retransmission.
-  dev_.sdma().set_stalled(true);
-  dev_.mdma_xmit().set_stalled(true);
-  dev_.mdma_recv().set_stalled(true);
-  dev_.sdma().abort_all();
-  dev_.mdma_xmit().abort_all();
+  dev_.set_stalled(true);
+  dev_.abort_all();
   stack()->env().sim.after(kResetDuration, [this] { finish_reset(); });
 }
 
@@ -820,17 +817,14 @@ void CabDriver::finish_reset() {
     if (backoff > kBackoffCap) backoff = kBackoffCap;
     ++rec_stats.resets;
     stack()->env().sim.after(backoff, [this] {
-      dev_.sdma().abort_all();
-      dev_.mdma_xmit().abort_all();
+      dev_.abort_all();
       stack()->env().sim.after(kResetDuration, [this] { finish_reset(); });
     });
     return;
   }
   // Board is back: unwedge the engines, reclaim leaked pages, re-evaluate
   // degraded modes (a persistent checksum/memory fault keeps us degraded).
-  dev_.sdma().set_stalled(false);
-  dev_.mdma_xmit().set_stalled(false);
-  dev_.mdma_recv().set_stalled(false);
+  dev_.set_stalled(false);
   rec_stats.leaked_reclaimed += dev_.nm().reclaim_leaked();
   state_ = AdaptorState::kUp;
   reset_attempts_ = 0;

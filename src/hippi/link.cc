@@ -2,15 +2,7 @@
 
 #include <utility>
 
-#include "telemetry/telemetry.h"
-
 namespace nectar::hippi {
-
-void DirectWire::set_telemetry(telemetry::Telemetry* tel, int pid) {
-  tel_ = tel;
-  tel_pid_ = pid;
-  tel_ns_ = tel ? tel->alloc_key_namespace() : 0;
-}
 
 void DirectWire::submit(Packet&& p) {
   const FrameHeader h = p.header();
@@ -21,14 +13,10 @@ void DirectWire::submit(Packet&& p) {
   }
   Endpoint* ep = it->second;
   ++delivered_;
-  std::uint64_t span_key = 0;
-  if (tel_ != nullptr) {
-    span_key = tel_ns_ | (delivered_ & ((1ull << 40) - 1));
-    tel_->span_begin(telemetry::Stage::kLinkTransit, tel_pid_, span_key);
-  }
+  const std::uint64_t span_key =
+      spans_.begin(telemetry::Stage::kLinkTransit, spans_.key(delivered_));
   sim_.after(propagation_, [this, ep, span_key, p = std::move(p)]() mutable {
-    if (tel_ != nullptr && span_key != 0)
-      tel_->span_end(telemetry::Stage::kLinkTransit, span_key);
+    if (span_key != 0) spans_.end(telemetry::Stage::kLinkTransit, span_key);
     ep->hippi_receive(std::move(p));
   });
 }

@@ -10,10 +10,7 @@
 #include "hippi/framing.h"
 #include "hippi/impairment.h"
 #include "sim/event_queue.h"
-
-namespace nectar::telemetry {
-class Telemetry;
-}
+#include "telemetry/span_source.h"
 
 namespace nectar::hippi {
 
@@ -33,7 +30,7 @@ class DirectWire final : public Fabric {
 
   // Opt-in span tracing: link_transit spans (submit -> remote receive), one
   // per delivered frame.
-  void set_telemetry(telemetry::Telemetry* tel, int pid);
+  void set_telemetry(telemetry::Telemetry* tel, int pid) { spans_.attach(tel, pid); }
 
  private:
   sim::Simulator& sim_;
@@ -41,9 +38,7 @@ class DirectWire final : public Fabric {
   std::unordered_map<Addr, Endpoint*> eps_;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
-  telemetry::Telemetry* tel_ = nullptr;
-  int tel_pid_ = 0;
-  std::uint64_t tel_ns_ = 0;
+  telemetry::SpanSource spans_;
 };
 
 }  // namespace nectar::hippi

@@ -236,6 +236,10 @@ class TcpConnection {
   sim::Task<void> process_ack(KernCtx ctx, const TcpHeader& th);
   sim::Task<void> accept_data(KernCtx ctx, mbuf::Mbuf* pkt, const TcpHeader& th,
                               std::size_t data_len, bool fin);
+  // A listening endpoint takes on the peer's full tuple: it leaves the listen
+  // table, rebinds under the tuple, caches the route and sizes the MSS from
+  // the route's MTU (before the peer's MSS clamps it).
+  void complete_tuple(const IpHeader& ih, const TcpHeader& th);
 
   NetStack& stack_;
   TcpCallbacks* cb_;

@@ -116,17 +116,7 @@ sim::Task<void> TcpConnection::input_locked(KernCtx ctx, Mbuf* pkt,
         co_return;
       }
       // Complete the tuple and move to the full-connection demux.
-      stack_.tcp_unlisten(key_.laddr, key_.lport, this);
-      listening_ = false;
-      key_.laddr = ih.dst;
-      key_.faddr = ih.src;
-      key_.fport = th.src_port;
-      stack_.tcp_bind(key_, this);
-      bound_ = true;
-
-      cache_route();
-      mss_ = static_cast<std::uint16_t>(
-          (route_if_ != nullptr ? route_if_->mtu() : 1500) - kIpHdrLen - kTcpHdrLen);
+      complete_tuple(ih, th);
       if (th.mss != 0) mss_ = std::min(mss_, th.mss);
       if (th.has_ws && par_.window_scaling) {
         snd_scale_ = th.ws;
@@ -449,10 +439,7 @@ sim::Task<void> TcpConnection::accept_data(KernCtx ctx, Mbuf* pkt,
   }
 }
 
-void TcpConnection::cookie_establish(const IpHeader& ih, const TcpHeader& th,
-                                     std::uint16_t peer_mss) {
-  assert(state_ == TcpState::kListen);
-  // Same tuple completion as the kListen SYN conversion...
+void TcpConnection::complete_tuple(const IpHeader& ih, const TcpHeader& th) {
   stack_.tcp_unlisten(key_.laddr, key_.lport, this);
   listening_ = false;
   key_.laddr = ih.dst;
@@ -460,10 +447,16 @@ void TcpConnection::cookie_establish(const IpHeader& ih, const TcpHeader& th,
   key_.fport = th.src_port;
   stack_.tcp_bind(key_, this);
   bound_ = true;
-
   cache_route();
   mss_ = static_cast<std::uint16_t>(
       (route_if_ != nullptr ? route_if_->mtu() : 1500) - kIpHdrLen - kTcpHdrLen);
+}
+
+void TcpConnection::cookie_establish(const IpHeader& ih, const TcpHeader& th,
+                                     std::uint16_t peer_mss) {
+  assert(state_ == TcpState::kListen);
+  // Same tuple completion as the kListen SYN conversion...
+  complete_tuple(ih, th);
   mss_ = std::min(mss_, peer_mss);
   // ...but every handshake variable comes from the cookie ACK instead of a
   // remembered SYN: the peer acked cookie+1 and its first data byte is

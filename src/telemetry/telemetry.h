@@ -21,10 +21,10 @@
 //
 // Key discipline: span keys must be globally unique per live span within a
 // stage. Producers with their own id counters (SDMA/MDMA requests, outboard
-// allocations, wire frames) prefix them with a key namespace from
-// alloc_key_namespace(); ad-hoc spans take next_key(); TCP segments use
-// telemetry::segment_key so sender and receiver derive the same key
-// independently.
+// allocations, wire frames) hold a SpanSource (telemetry/span_source.h),
+// which prefixes their ids with a key namespace from alloc_key_namespace();
+// ad-hoc spans take next_key(); TCP segments use telemetry::segment_key so
+// sender and receiver derive the same key independently.
 #pragma once
 
 #include <cstdint>
@@ -82,9 +82,6 @@ class Telemetry {
   [[nodiscard]] const LogHistogram& stage_hist(Stage s) const noexcept {
     return stage_hist_[static_cast<std::size_t>(s)];
   }
-  // Cap on retained trace events (default 1M); excess increments
-  // dropped_events but histograms keep recording.
-  void set_max_events(std::size_t n) noexcept { max_events_ = n; }
 
   // --- metrics -------------------------------------------------------------
   [[nodiscard]] LogHistogram& histogram(const std::string& name) {
@@ -140,9 +137,13 @@ class Telemetry {
     std::map<std::uint32_t, LogHistogram> per_flow;
   };
 
+  // Cap on retained trace events; excess increments dropped_events but
+  // histograms keep recording.
+  static constexpr std::size_t kMaxEvents = 1u << 20;
+
   void push_event(char ph, Stage s, int pid, std::uint32_t flow,
                   std::uint64_t key) {
-    if (events_.size() >= max_events_) {
+    if (events_.size() >= kMaxEvents) {
       ++dropped_events_;
       return;
     }
@@ -163,7 +164,6 @@ class Telemetry {
   std::uint64_t re_begins_ = 0;
   std::uint64_t dropped_events_ = 0;
   std::vector<TraceEvent> events_;
-  std::size_t max_events_ = 1u << 20;
 
   std::map<std::string, LogHistogram> hists_;
   std::map<std::string, FlowMetric> flow_metrics_;

@@ -1,8 +1,10 @@
 // Unit tests: CAB network memory, SDMA engine (gather, outboard checksum
 // with seed/skip/insert, header rewrite, body-sum staging, alignment rules),
-// and the MDMA transmit/receive loop with auto-DMA.
+// the MDMA transmit/receive loop with auto-DMA, and the lifecycle both queued
+// DMA engines share (reset abort, stall, injected errors).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "cab/cab_device.h"
@@ -10,6 +12,7 @@
 #include "hippi/link.h"
 #include "mem/user_buffer.h"
 #include "sim/rng.h"
+#include "telemetry/telemetry.h"
 
 namespace nectar::cab {
 namespace {
@@ -325,6 +328,279 @@ TEST_F(CabFixture, MdmaSnapshotIsolatesRetransmitRewrites) {
   ASSERT_TRUE(got);
   EXPECT_EQ(std::to_integer<int>(got->head[100]), 7);
   tx.nm().release(*h);
+}
+
+// --- DMA engine lifecycle: reset abort, stall, injected errors -------------
+//
+// Driven directly rather than through a FaultInjector plan. At the fixture's
+// rates an SDMA request of 1000 bytes takes 20 + 10 us, an MDMA transmit of
+// 200 bytes takes 10 + 2 us, and a wire segment of a TSO burst 11 us. The
+// abort tests also trace the engine: every queue and transfer span it opens
+// must close exactly once.
+
+using telemetry::Stage;
+
+std::uint64_t spans(const telemetry::Telemetry& tel, Stage s) {
+  return tel.stage_hist(s).count();
+}
+
+struct Completion {
+  char tag;
+  sim::Time at;
+  bool failed;
+};
+
+// SDMA side: request `tag` copies `src` into slot `slot` of buffer `h`.
+struct SdmaLog {
+  sim::Simulator& simu;
+  CabDevice& dev;
+  std::vector<std::byte> src = std::vector<std::byte>(1000, std::byte{0x5a});
+  Handle h;
+  std::vector<Completion> done;
+
+  SdmaLog(sim::Simulator& s, CabDevice& d, std::size_t slots)
+      : simu(s), dev(d), h(*d.nm().alloc(slots * src.size())) {}
+
+  void post(char tag, std::size_t slot) {
+    SdmaRequest r;
+    r.handle = h;
+    r.cab_off = slot * src.size();
+    r.segs.push_back(SdmaSeg{0, std::span<std::byte>(src)});
+    r.on_complete = [this, tag](const SdmaRequest& d) {
+      done.push_back(Completion{tag, simu.now(), d.failed});
+    };
+    ASSERT_TRUE(dev.sdma().post(std::move(r)));
+  }
+  // Whether slot `slot` holds `src` (true) or is still all zero (false).
+  bool landed(std::size_t slot) const {
+    auto b = dev.nm().bytes(h, slot * src.size(), src.size());
+    if (std::equal(b.begin(), b.end(), src.begin())) return true;
+    EXPECT_TRUE(std::all_of(b.begin(), b.end(), [](std::byte x) { return x == std::byte{0}; }));
+    return false;
+  }
+};
+
+// MDMA side: transmit `tag` sends a 200-byte frame from CAB 1 to CAB 2 whose
+// bytes after the HIPPI header all carry the tag; `wire` lists the tags the
+// receiver delivered.
+struct MdmaLog {
+  sim::Simulator& simu;
+  CabDevice& tx;
+  CabDevice& rx;
+  std::vector<Completion> done;
+  std::vector<char> wire;
+
+  MdmaLog(sim::Simulator& s, CabDevice& t, CabDevice& r) : simu(s), tx(t), rx(r) {
+    rx.mdma_recv().set_deliver([this](RecvDesc&& d) {
+      wire.push_back(static_cast<char>(d.head.back()));
+      if (d.handle) rx.nm().release(*d.handle);
+    });
+  }
+  void post(char tag, std::size_t len = 200, std::size_t tso_hdr = 0,
+            std::size_t tso_seg = 0) {
+    std::vector<std::byte> pkt(len, static_cast<std::byte>(tag));
+    hippi::write_header(pkt, hippi::FrameHeader{2, 1, hippi::kTypeIp, 0,
+                                                static_cast<std::uint32_t>(len - 60)});
+    auto h = tx.nm().alloc(len);
+    ASSERT_TRUE(h);
+    std::memcpy(tx.nm().bytes(*h, 0, len).data(), pkt.data(), len);
+    MdmaXmit::Request r;
+    r.handle = *h;
+    r.len = len;
+    r.tso_hdr_len = tso_hdr;
+    r.tso_seg_payload = tso_seg;
+    const Handle hh = *h;
+    r.on_complete = [this, tag, hh] {
+      done.push_back(Completion{tag, simu.now(), false});
+      tx.nm().release(hh);
+    };
+    tx.mdma_xmit().post(std::move(r));
+  }
+};
+
+TEST_F(CabFixture, SdmaAbortAllFailsQueuedAtOnceAndInFlightAtItsEnd) {
+  CabDevice dev(simu, wire, 1, cfg);
+  SdmaLog s(simu, dev, 4);
+  telemetry::Telemetry tel(simu);
+  dev.sdma().set_telemetry(&tel, tel.register_process("cab"));
+  s.post('a', 0);  // on the bus until t = 30 us
+  s.post('b', 1);
+  s.post('c', 2);
+  simu.run_until(sim::usec(10));
+  dev.sdma().abort_all();
+  // The queued two fail at once, in post order.
+  ASSERT_EQ(s.done.size(), 2u);
+  EXPECT_EQ(s.done[0].tag, 'b');
+  EXPECT_EQ(s.done[1].tag, 'c');
+  for (const auto& c : s.done) {
+    EXPECT_EQ(c.at, sim::usec(10));
+    EXPECT_TRUE(c.failed);
+  }
+  EXPECT_EQ(spans(tel, Stage::kSdmaQueue), 3u);
+  EXPECT_EQ(spans(tel, Stage::kSdmaXfer), 0u);
+  // A request posted right after the reset starts at once and completes.
+  s.post('d', 3);
+  simu.run();
+  ASSERT_EQ(s.done.size(), 4u);
+  EXPECT_EQ(s.done[2].tag, 'a');  // once, at its original end time
+  EXPECT_EQ(s.done[2].at, sim::usec(30));
+  EXPECT_TRUE(s.done[2].failed);
+  EXPECT_EQ(s.done[3].tag, 'd');
+  EXPECT_EQ(s.done[3].at, sim::usec(40));
+  EXPECT_FALSE(s.done[3].failed);
+  EXPECT_FALSE(s.landed(0));
+  EXPECT_FALSE(s.landed(1));
+  EXPECT_FALSE(s.landed(2));
+  EXPECT_TRUE(s.landed(3));
+  EXPECT_EQ(dev.sdma().stats().aborted, 3u);
+  EXPECT_EQ(dev.sdma().stats().requests, 4u);
+  EXPECT_EQ(dev.sdma().stats().errors, 0u);
+  EXPECT_EQ(dev.sdma().stats().bytes_to_cab, 1000u);
+  EXPECT_TRUE(dev.sdma().idle());
+  EXPECT_EQ(spans(tel, Stage::kSdmaQueue), 4u);
+  EXPECT_EQ(spans(tel, Stage::kSdmaXfer), 2u);
+  EXPECT_EQ(tel.open_spans(), 0u);
+  EXPECT_EQ(tel.orphan_ends(), 0u);
+  dev.nm().release(s.h);
+}
+
+TEST_F(CabFixture, MdmaAbortAllFailsQueuedAtOnceAndInFlightAtItsEnd) {
+  CabDevice tx(simu, wire, 1, cfg);
+  CabDevice rx(simu, wire, 2, cfg);
+  MdmaLog m(simu, tx, rx);
+  telemetry::Telemetry tel(simu);
+  tx.mdma_xmit().set_telemetry(&tel, tel.register_process("tx"));
+  m.post('a');  // serializing until t = 12 us
+  m.post('b');
+  m.post('c');
+  simu.run_until(sim::usec(5));
+  tx.mdma_xmit().abort_all();
+  ASSERT_EQ(m.done.size(), 2u);
+  EXPECT_EQ(m.done[0].tag, 'b');
+  EXPECT_EQ(m.done[1].tag, 'c');
+  EXPECT_EQ(m.done[0].at, sim::usec(5));
+  EXPECT_EQ(m.done[1].at, sim::usec(5));
+  m.post('d');
+  simu.run();
+  ASSERT_EQ(m.done.size(), 4u);
+  EXPECT_EQ(m.done[2].tag, 'a');
+  EXPECT_EQ(m.done[2].at, sim::usec(12));
+  EXPECT_EQ(m.done[3].tag, 'd');
+  EXPECT_EQ(m.done[3].at, sim::usec(17));
+  EXPECT_EQ(m.wire, std::vector<char>{'d'});
+  EXPECT_EQ(tx.mdma_xmit().stats().aborted, 3u);
+  EXPECT_EQ(tx.mdma_xmit().stats().packets, 1u);
+  EXPECT_EQ(tx.mdma_xmit().stats().errors, 0u);
+  EXPECT_TRUE(tx.mdma_xmit().idle());
+  EXPECT_EQ(tx.nm().live_packets(), 0u);
+  EXPECT_EQ(spans(tel, Stage::kMdmaQueue), 4u);
+  EXPECT_EQ(spans(tel, Stage::kMdmaXfer), 2u);
+  EXPECT_EQ(tel.open_spans(), 0u);
+  EXPECT_EQ(tel.orphan_ends(), 0u);
+}
+
+TEST_F(CabFixture, SdmaStallHoldsPostedWorkUntilReleased) {
+  CabDevice dev(simu, wire, 1, cfg);
+  SdmaLog s(simu, dev, 2);
+  s.post('a', 0);
+  s.post('b', 1);
+  dev.sdma().set_stalled(true);  // 'a' is already on the bus and finishes
+  simu.at(sim::usec(100), [&] { dev.sdma().set_stalled(false); });
+  simu.run_until(sim::usec(99));
+  ASSERT_EQ(s.done.size(), 1u);
+  EXPECT_EQ(s.done[0].at, sim::usec(30));
+  EXPECT_FALSE(dev.sdma().idle());
+  EXPECT_FALSE(s.landed(1));
+  simu.run();
+  ASSERT_EQ(s.done.size(), 2u);
+  EXPECT_EQ(s.done[1].tag, 'b');
+  EXPECT_EQ(s.done[1].at, sim::usec(130));
+  EXPECT_FALSE(s.done[1].failed);
+  EXPECT_TRUE(s.landed(1));
+  dev.nm().release(s.h);
+}
+
+TEST_F(CabFixture, MdmaStallHoldsPostedWorkUntilReleased) {
+  CabDevice tx(simu, wire, 1, cfg);
+  CabDevice rx(simu, wire, 2, cfg);
+  MdmaLog m(simu, tx, rx);
+  m.post('a');
+  m.post('b');
+  tx.mdma_xmit().set_stalled(true);
+  simu.at(sim::usec(100), [&] { tx.mdma_xmit().set_stalled(false); });
+  simu.run_until(sim::usec(99));
+  ASSERT_EQ(m.done.size(), 1u);
+  EXPECT_EQ(m.done[0].at, sim::usec(12));
+  EXPECT_EQ(m.wire, std::vector<char>{'a'});
+  EXPECT_FALSE(tx.mdma_xmit().idle());
+  simu.run();
+  ASSERT_EQ(m.done.size(), 2u);
+  EXPECT_EQ(m.done[1].tag, 'b');
+  EXPECT_EQ(m.done[1].at, sim::usec(112));
+  EXPECT_EQ(m.wire, (std::vector<char>{'a', 'b'}));
+}
+
+TEST_F(CabFixture, SdmaInjectedErrorsFailExactlyTheNextTwo) {
+  CabDevice dev(simu, wire, 1, cfg);
+  SdmaLog s(simu, dev, 3);
+  dev.sdma().inject_errors(2);
+  s.post('a', 0);
+  s.post('b', 1);
+  s.post('c', 2);
+  simu.run();
+  ASSERT_EQ(s.done.size(), 3u);
+  EXPECT_TRUE(s.done[0].failed);
+  EXPECT_TRUE(s.done[1].failed);
+  EXPECT_FALSE(s.done[2].failed);
+  EXPECT_FALSE(s.landed(0));
+  EXPECT_FALSE(s.landed(1));
+  EXPECT_TRUE(s.landed(2));
+  EXPECT_EQ(dev.sdma().stats().errors, 2u);
+  EXPECT_EQ(dev.sdma().stats().requests, 3u);
+  EXPECT_EQ(dev.sdma().stats().bytes_to_cab, 1000u);
+  dev.nm().release(s.h);
+}
+
+TEST_F(CabFixture, MdmaInjectedErrorsFailExactlyTheNextTwo) {
+  CabDevice tx(simu, wire, 1, cfg);
+  CabDevice rx(simu, wire, 2, cfg);
+  MdmaLog m(simu, tx, rx);
+  tx.mdma_xmit().inject_errors(2);
+  m.post('a');
+  m.post('b');
+  m.post('c');
+  simu.run();
+  ASSERT_EQ(m.done.size(), 3u);  // completions still fire
+  EXPECT_EQ(m.wire, std::vector<char>{'c'});
+  EXPECT_EQ(tx.mdma_xmit().stats().errors, 2u);
+  EXPECT_EQ(tx.mdma_xmit().stats().packets, 1u);
+  EXPECT_EQ(tx.nm().live_packets(), 0u);
+}
+
+TEST_F(CabFixture, MdmaAbortMidTsoFanoutKeepsUnsentSegmentsOffTheWire) {
+  CabDevice tx(simu, wire, 1, cfg);
+  CabDevice rx(simu, wire, 2, cfg);
+  MdmaLog m(simu, tx, rx);
+  telemetry::Telemetry tel(simu);
+  tx.mdma_xmit().set_telemetry(&tel, tel.register_process("tx"));
+  // 100 header bytes (HIPPI + IP + TCP) and 3000 payload bytes cut into three
+  // segments that leave the engine at t = 21, 32 and 43 us.
+  m.post('t', 3100, 100, 1000);
+  simu.at(sim::usec(25), [&] { tx.mdma_xmit().abort_all(); });
+  simu.run();
+  ASSERT_EQ(m.done.size(), 1u);
+  EXPECT_EQ(m.done[0].at, sim::usec(43));
+  EXPECT_EQ(m.wire, std::vector<char>{'t'});
+  EXPECT_EQ(tx.mdma_xmit().stats().tso_requests, 1u);
+  EXPECT_EQ(tx.mdma_xmit().stats().tso_wire_segs, 1u);
+  EXPECT_EQ(tx.mdma_xmit().stats().packets, 1u);
+  EXPECT_EQ(tx.mdma_xmit().stats().aborted, 1u);
+  EXPECT_TRUE(tx.mdma_xmit().idle());
+  EXPECT_EQ(tx.nm().live_packets(), 0u);
+  EXPECT_EQ(spans(tel, Stage::kTsoFanout), 1u);
+  EXPECT_EQ(spans(tel, Stage::kMdmaXfer), 1u);
+  EXPECT_EQ(tel.open_spans(), 0u);
+  EXPECT_EQ(tel.orphan_ends(), 0u);
 }
 
 }  // namespace
