@@ -107,13 +107,17 @@ done
 # aliasing surfaces.  The CAB unit suites (CabFixture, NetworkMemory) and the
 # driver path suite (CabDriverPaths) drive the DMA engines' shared
 # post/serve/abort lifecycle directly, including completions that outlive a
-# reset.  The 10x flash-crowd soak stays out of this fast lane and runs under
-# TSan below instead.
+# reset.  The mbuf, descriptor and socket-buffer suites, the UDP and socket
+# path suites and the Ethernet/loopback conversion suites cover the M_UIO
+# completion rule: every driver that consumes or drops user data completes
+# the writer's counter, including datagrams the CAB drops, and the copy-out
+# retry and give-up paths.  The 10x flash-crowd soak stays out of this fast
+# lane and runs under TSan below instead.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build build-asan -j"$jobs"
 ctest --test-dir build-asan --output-on-failure -j"$jobs" \
-      -R 'CabFixture|NetworkMemory|CabDriverPaths|ConnTable|FlowMatrix|FlowSoak|flow_scaling|Fault|bench_fault_recovery|Telemetry|LogHistogram|PacketTraceDropped|bench_latency|Offload|TsoCutFuzz|bench_offload|TimerWheel|SynCookie|bench_churn|Wload|PacketTrace\.PcapRoundTrip|bench_workload|ArbPolicyNames|WeightedFair|OverloadManager|OverloadEndToEnd|OverloadNetstat|OpsConsole|bench_overload'
+      -R 'CabFixture|NetworkMemory|CabDriverPaths|UdpFixture|ConvertUioRecord|LoopbackDriver|MbufFixture|DescriptorFixture|SockbufFixture|SocketPaths|ConnTable|FlowMatrix|FlowSoak|flow_scaling|Fault|bench_fault_recovery|Telemetry|LogHistogram|PacketTraceDropped|bench_latency|Offload|TsoCutFuzz|bench_offload|TimerWheel|SynCookie|bench_churn|Wload|PacketTrace\.PcapRoundTrip|bench_workload|ArbPolicyNames|WeightedFair|OverloadManager|OverloadEndToEnd|OverloadNetstat|OpsConsole|bench_overload'
 
 # ThreadSanitizer lane over the parallel sharded engine: the barrier,
 # epoch-publication, and outbox/drain handoffs are the only places the

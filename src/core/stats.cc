@@ -1,7 +1,5 @@
 #include "core/stats.h"
 
-#include <sstream>
-
 namespace nectar::core {
 
 CpuSnapshot CpuSnapshot::take(Host& h) {
@@ -27,19 +25,6 @@ UtilizationReport utilization_between(Host& h, const Host::Process& proc,
                       ? static_cast<double>(r.busy) / static_cast<double>(r.elapsed)
                       : 0.0;
   return r;
-}
-
-std::string format_row(const std::vector<std::string>& cells,
-                       const std::vector<int>& widths) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const int w = i < widths.size() ? widths[i] : 12;
-    os << cells[i];
-    const int pad = w - static_cast<int>(cells[i].size());
-    for (int k = 0; k < pad; ++k) os << ' ';
-    if (i + 1 != cells.size()) os << "  ";
-  }
-  return os.str();
 }
 
 }  // namespace nectar::core

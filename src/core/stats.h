@@ -7,7 +7,6 @@
 // host could sustain at 100% CPU: throughput / utilization.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/host.h"
@@ -35,9 +34,5 @@ struct UtilizationReport {
 // Utilization of `proc` (+ interrupts) between two snapshots of `h`.
 UtilizationReport utilization_between(Host& h, const Host::Process& proc,
                                       const CpuSnapshot& t0, const CpuSnapshot& t1);
-
-// Pretty-print a table row: fixed-width columns for the bench harnesses.
-std::string format_row(const std::vector<std::string>& cells,
-                       const std::vector<int>& widths);
 
 }  // namespace nectar::core

@@ -144,7 +144,7 @@ sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) 
       // torn down. The transport retransmits once the adaptor is back.
       ++rec_stats.tx_dropped_resetting;
       ++if_stats.oerrors;
-      unpin_uio(pkt);
+      mbuf::m_uio_done(pkt);
       env.pool.free_chain(pkt);
       co_return;
     }
@@ -168,20 +168,17 @@ sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) 
   if (!handle) {
     ++drv_stats.tx_no_memory;
     ++if_stats.oerrors;
+    mbuf::m_uio_done(m0);
     env.pool.free_chain(m0);
     co_return;
   }
   req.handle = *handle;
-  std::size_t data_start = 0;  // offset of the first M_UIO byte in the packet
-  bool before_data = true;
   for (Mbuf* m = m0; m != nullptr; m = m->next) {
     switch (m->type()) {
       case mbuf::MbufType::kData:
-        if (before_data) data_start += static_cast<std::size_t>(m->len());
         req.segs.push_back(cab::SdmaSeg{0, m->span()});
         break;
       case mbuf::MbufType::kUio: {
-        before_data = false;
         const mem::Uio& u = m->uio();
         if (!u.word_aligned())
           throw std::logic_error(
@@ -207,32 +204,28 @@ sim::Task<void> CabDriver::output(KernCtx ctx, Mbuf* pkt, net::IpAddr next_hop) 
   mr.handle = *handle;
   mr.len = total;
   mr.flow = m0->pkthdr.flow;
-  // data_start already counts every header byte (incl. the link header,
-  // since it was prepended before the scan).
-  post_tx(std::move(req), m0, data_start, std::move(mr));
+  post_tx(std::move(req), m0, std::move(mr));
 }
 
-void CabDriver::post_tx(cab::SdmaRequest req, Mbuf* chain, std::size_t data_start,
-                        cab::MdmaXmit::Request mr) {
-  // The mbuf chain must stay alive until the SDMA engine reads it.
-  req.on_complete = [this, chain, data_start,
+void CabDriver::post_tx(cab::SdmaRequest req, Mbuf* chain, cab::MdmaXmit::Request mr) {
+  // The mbuf chain must stay alive until the SDMA engine reads it. Either
+  // way the SDMA ends, the packet's M_UIO data is done with: the writer's
+  // counter completes and its pages may be unpinned.
+  req.on_complete = [this, chain,
                      mr = std::move(mr)](const cab::SdmaRequest& done) mutable {
     const cab::Handle h = mr.handle;
+    mbuf::m_uio_done(chain);
+    chain->pool().free_chain(chain);
     if (done.failed) {
-      // Nothing went outboard: unpin the writer's pages, drop the packet
-      // (the transport retransmits, and WCAB data stays intact outboard),
-      // release the transmit's buffer reference.
+      // Nothing went outboard: the packet is dropped (the transport
+      // retransmits, and WCAB data stays intact outboard); release the
+      // transmit's buffer reference.
       ++rec_stats.tx_dma_failed;
       ++if_stats.oerrors;
-      unpin_uio(chain);
-      chain->pool().free_chain(chain);
       dev_.nm().release(h);
       note_dma_failure();
       return;
     }
-    if (chain->pkthdr.on_outboarded)
-      chain->pkthdr.on_outboarded(wcab(h, data_start, mr.len - data_start));
-    chain->pool().free_chain(chain);
     // Media transfer chains directly off SDMA completion (§2.2). The MDMA
     // completion drops the transmit's buffer reference; no host interrupt is
     // needed (TCP's ACK confirms delivery).
@@ -244,6 +237,7 @@ void CabDriver::post_tx(cab::SdmaRequest req, Mbuf* chain, std::size_t data_star
   if (!dev_.sdma().post(std::move(req))) {
     ++if_stats.oerrors;
     dev_.nm().release(h);
+    mbuf::m_uio_done(chain);
     stack()->env().pool.free_chain(chain);
   }
 }
@@ -319,7 +313,7 @@ sim::Task<void> CabDriver::output_rewrite(KernCtx ctx, Mbuf* pkt,
   // The packet's own WCAB reference goes with its mbuf chain; this one keeps
   // the buffer alive through SDMA + MDMA.
   dev_.outboard_retain(w.handle);
-  post_tx(std::move(req), m0, hdr_block, std::move(mr));
+  post_tx(std::move(req), m0, std::move(mr));
   co_return;
 }
 
@@ -696,13 +690,6 @@ sim::Task<void> CabDriver::copy_out(KernCtx ctx, const mbuf::Wcab& w,
 }
 
 // --- fault recovery & graceful degradation ----------------------------------
-
-void CabDriver::unpin_uio(Mbuf* chain) {
-  for (Mbuf* m = chain; m != nullptr; m = m->next) {
-    if (m->type() == mbuf::MbufType::kUio && m->uw_hdr().sync != nullptr)
-      m->uw_hdr().sync->done(m->len());
-  }
-}
 
 void CabDriver::enable_recovery() {
   recovery_enabled_ = true;

@@ -203,11 +203,10 @@ class CabDriver final : public net::Ifnet {
   mbuf::Mbuf* frame(mbuf::Mbuf* pkt, net::IpAddr next_hop, cab::SdmaRequest& req);
   // Post `req`, which moves the frame `chain` outboard, and chain the media
   // transfer `mr` off its completion. The transmit holds one reference on
-  // the buffer, dropped when the MDMA completes or the SDMA fails. On
-  // success the packet's on_outboarded hook learns where its data starts
-  // (`data_start` bytes into the frame).
-  void post_tx(cab::SdmaRequest req, mbuf::Mbuf* chain, std::size_t data_start,
-               cab::MdmaXmit::Request mr);
+  // the buffer, dropped when the MDMA completes or the SDMA fails. The
+  // chain's M_UIO data is completed (mbuf::m_uio_done) when the SDMA ends
+  // or the post is rejected.
+  void post_tx(cab::SdmaRequest req, mbuf::Mbuf* chain, cab::MdmaXmit::Request mr);
   // Wrap the outboard residue of `d` in an M_WCAB mbuf (nullptr when the
   // packet arrived fully auto-DMAed), counting rx_wcab or rx_small.
   mbuf::Mbuf* wrap_residue(const cab::RecvDesc& d);
@@ -226,9 +225,6 @@ class CabDriver final : public net::Ifnet {
   void note_dma_failure() {
     if (recovery_enabled_) check_health();
   }
-  // Unpin any M_UIO data in `chain` so a writer blocked on its DmaSync drain
-  // wakes up even though the data never went outboard.
-  static void unpin_uio(mbuf::Mbuf* chain);
   // Failure-retrying copy-out submission.
   struct CopyJob {
     cab::SdmaRequest req;

@@ -29,7 +29,6 @@ sim::Task<Mbuf*> convert_uio_record(net::NetStack& stack, KernCtx ctx, Mbuf* pkt
     Mbuf* repl_head = nullptr;
     Mbuf** repl_link = &repl_head;
     const mem::Uio& u = m->uio();
-    std::size_t produced = 0;
     Mbuf* cur = nullptr;
     for (const auto& v : u.iov) {
       auto src = u.space->read_view(v.base, v.len);
@@ -43,14 +42,8 @@ sim::Task<Mbuf*> convert_uio_record(net::NetStack& stack, KernCtx ctx, Mbuf* pkt
         const std::size_t take = std::min(v.len - off, cur->trailing_space());
         cur->append(src.subspan(off, take));
         off += take;
-        produced += take;
       }
     }
-    (void)produced;
-
-    // The data is now copied: the writer no longer needs its buffer.
-    if (m->uw_hdr().sync != nullptr)
-      m->uw_hdr().sync->done(static_cast<int>(len));
 
     Mbuf* after = m->next;
     if (m->has_pkthdr() && repl_head != nullptr) {
@@ -58,6 +51,8 @@ sim::Task<Mbuf*> convert_uio_record(net::NetStack& stack, KernCtx ctx, Mbuf* pkt
       repl_head->pkthdr = m->pkthdr;
     }
     m->next = nullptr;
+    // The data is now copied: the writer no longer needs its buffer.
+    mbuf::m_uio_done(m);
     env.pool.free_one(m);
     *link = repl_head != nullptr ? repl_head : after;
     Mbuf* tail = repl_head;

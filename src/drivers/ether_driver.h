@@ -76,8 +76,9 @@ class EtherDriver final : public net::Ifnet {
 
 // The §5 interop conversion: replace every M_UIO mbuf in `pkt` with regular
 // (cluster) mbufs holding copies of the user data, charging the memory-copy
-// bandwidth. Completes any DmaSync the descriptors carried (the data has now
-// been copied, so the writer may proceed). Returns the new head.
+// bandwidth. Completes each descriptor's DmaSync through mbuf::m_uio_done
+// (the data has now been copied, so the writer may proceed). Returns the new
+// head.
 sim::Task<mbuf::Mbuf*> convert_uio_record(net::NetStack& stack, net::KernCtx ctx,
                                           mbuf::Mbuf* pkt);
 

@@ -5,15 +5,18 @@
 //                       where the checksum field lives and how many leading
 //                       words the outboard engine must skip (S).
 //  * DmaSync         — the UIO-counter synchronization of §4.4.2: the socket
-//                       layer increments it per packet split off a write (or
-//                       per copy-out issued on read), the driver decrements it
-//                       at end-of-DMA, and the application wakes only when it
-//                       drains. DMAs are uncancelable: an interrupted call
-//                       still drains before the process may restart.
+//                       layer increments it by the bytes of a write it hands
+//                       the driver (or by one per copy-out issued on read),
+//                       the driver decrements it at end-of-DMA, and the
+//                       application wakes only when it drains. DMAs are
+//                       uncancelable: an interrupted call still drains before
+//                       the process may restart. M_UIO data has one
+//                       completion rule: whoever consumes or drops it calls
+//                       m_uio_done (mbuf_ops.h).
 //  * UioWcabHdr      — the paper's `uiowCABhdr`, common to M_UIO and M_WCAB.
 //  * Wcab            — the paper's `wCAB`: identifies a packet resident in
-//                       CAB network memory, plus its checksum and how much of
-//                       the outboard data is valid.
+//                       CAB network memory and how much of the outboard data
+//                       is valid.
 //  * OutboardOwner   — how mbuf code releases/shares outboard buffers without
 //                       depending on the CAB library (which layers above it).
 #pragma once
@@ -80,14 +83,12 @@ struct Wcab {
   std::uint32_t handle = 0;     // packet identifier in network memory
   std::uint32_t data_off = 0;   // payload offset inside the outboard packet
   std::uint32_t valid = 0;      // bytes of outboard data valid so far
-  std::uint16_t checksum = 0;   // packet checksum as computed by hardware
-  bool checksum_valid = false;
 };
 
-// The paper's uiowCABhdr: checksum info plus the notification hook for the
-// task that issued the read or write.
+// The paper's uiowCABhdr: the notification hook for the task that issued the
+// read or write. (The paper's checksum information rides in the packet
+// header's csum_tx instead; see PktHdr.)
 struct UioWcabHdr {
-  CsumInfo csum;
   DmaSync* sync = nullptr;
 };
 

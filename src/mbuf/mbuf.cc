@@ -212,9 +212,9 @@ Mbuf* MbufPool::free_one(Mbuf* m) {
   if (m->ext_ != nullptr && m->ext_->size == kClBytes && m->ext_.use_count() == 1) {
     free_clusters_.push_back(std::move(m->ext_));
   }
-  // Full reinit *at free time*, so captured resources (cluster refs, the
-  // pkthdr's on_outboarded closure, uio vectors) are released promptly and a
-  // recycled node is indistinguishable from a fresh one.
+  // Full reinit *at free time*, so captured resources (cluster refs, uio
+  // vectors) are released promptly and a recycled node is indistinguishable
+  // from a fresh one.
   m->type_ = MbufType::kData;
   m->flags_ = 0;
   m->len_ = 0;
@@ -224,7 +224,6 @@ Mbuf* MbufPool::free_one(Mbuf* m) {
   m->uio_ = mem::Uio{};
   m->wcab_ = Wcab{};
   m->pkthdr = PktHdr{};
-  m->nextpkt = nullptr;
   m->next = free_nodes_;
   free_nodes_ = m;
   ++free_node_count_;

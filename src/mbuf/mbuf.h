@@ -1,10 +1,9 @@
 // The BSD mbuf framework, extended with the paper's M_UIO / M_WCAB types.
 //
 // Layout follows 4.3BSD-Net2 in spirit: small mbufs with inline storage,
-// cluster mbufs referencing shared external pages, chains via `next` (one
-// record) and `nextpkt` (queues of records). Deviations, made for a clean
-// C++ simulation and documented here so readers of the paper can map code to
-// the original:
+// cluster mbufs referencing shared external pages, and records chained via
+// `next`. Deviations, made for a clean C++ simulation and documented here so
+// readers of the paper can map code to the original:
 //
 //  * External storage is a std::shared_ptr (BSD: hand-rolled refcounts); the
 //    sharing semantics of m_copym are identical.
@@ -20,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -75,12 +73,6 @@ struct PktHdr {
   // link header.
   CsumInfo csum_tx;
 
-  // Transmit: set by the transport when the packet's data is M_UIO; the
-  // single-copy driver invokes it once the data has been copied outboard
-  // (SDMA complete), passing a Wcab describing the packet (refcount NOT
-  // transferred — the callee retains if it keeps a reference).
-  std::function<void(const Wcab&)> on_outboarded;
-
   // Receive: outboard checksum (§4.3): ones-complement sum computed by the
   // CAB MDMA engine starting at its configured word offset (covers the
   // transport header + data).
@@ -94,8 +86,7 @@ struct PktHdr {
 
 class Mbuf {
  public:
-  Mbuf* next = nullptr;     // next mbuf in this record
-  Mbuf* nextpkt = nullptr;  // next record in a queue
+  Mbuf* next = nullptr;  // next mbuf in this record
 
   [[nodiscard]] MbufType type() const noexcept { return type_; }
   [[nodiscard]] unsigned flags() const noexcept { return flags_; }

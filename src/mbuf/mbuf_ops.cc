@@ -26,6 +26,13 @@ int m_count(const Mbuf* m) noexcept {
   return n;
 }
 
+void m_uio_done(const Mbuf* m) {
+  for (; m != nullptr; m = m->next) {
+    if (m->type() == MbufType::kUio && m->uw_hdr().sync != nullptr)
+      m->uw_hdr().sync->done(m->len());
+  }
+}
+
 Mbuf* m_copym(Mbuf* m, int off, int len) {
   if (off < 0 || len < 0) fail("m_copym: negative range");
   MbufPool& pool = m->pool();
@@ -176,51 +183,6 @@ Mbuf* m_pullup(Mbuf* m, int len) {
   return n;
 }
 
-Mbuf* m_split(Mbuf* m, int off) {
-  if (off < 0 || off > m_length(m)) fail("m_split: offset outside record");
-  MbufPool& pool = m->pool();
-  const int total = m_length(m);
-
-  // Find the split point.
-  Mbuf* prev = nullptr;
-  Mbuf* cur = m;
-  int remaining = off;
-  while (cur != nullptr && remaining >= cur->len()) {
-    remaining -= cur->len();
-    prev = cur;
-    cur = cur->next;
-  }
-
-  Mbuf* tail = nullptr;
-  if (remaining == 0) {
-    // Clean boundary: just unlink.
-    tail = cur;
-    if (prev != nullptr) prev->next = nullptr;
-  } else {
-    // Split inside `cur`: share/slice the second half, trim the first.
-    tail = m_copym(cur, remaining, cur->len() - remaining);
-    Mbuf* t = tail;
-    while (t->next != nullptr) t = t->next;
-    t->next = cur->next;
-    cur->trim_back(static_cast<std::size_t>(cur->len() - remaining));
-    cur->next = nullptr;
-  }
-
-  if (m->has_pkthdr()) {
-    m->pkthdr.len = off;
-    if (tail != nullptr && !tail->has_pkthdr()) {
-      Mbuf* h = pool.get_hdr();
-      h->pkthdr = m->pkthdr;
-      h->pkthdr.len = total - off;
-      h->next = tail;
-      tail = h;
-    } else if (tail != nullptr) {
-      tail->pkthdr.len = total - off;
-    }
-  }
-  return tail;
-}
-
 void m_cat(Mbuf* a, Mbuf* b) noexcept {
   while (a->next != nullptr) a = a->next;
   a->next = b;
@@ -272,27 +234,6 @@ std::uint32_t in_cksum_range(const Mbuf* m, int off, int len) {
     m = m->next;
   }
   return sum;
-}
-
-void MbufQueue::enqueue(Mbuf* record) noexcept {
-  record->nextpkt = nullptr;
-  if (tail_ == nullptr) {
-    head_ = tail_ = record;
-  } else {
-    tail_->nextpkt = record;
-    tail_ = record;
-  }
-  ++count_;
-}
-
-Mbuf* MbufQueue::dequeue() noexcept {
-  if (head_ == nullptr) return nullptr;
-  Mbuf* m = head_;
-  head_ = m->nextpkt;
-  if (head_ == nullptr) tail_ = nullptr;
-  m->nextpkt = nullptr;
-  --count_;
-  return m;
 }
 
 }  // namespace nectar::mbuf

@@ -37,12 +37,6 @@ void m_adj(Mbuf* m, int req_len);
 // Append record b to record a (no pkthdr surgery; caller fixes lengths).
 void m_cat(Mbuf* a, Mbuf* b) noexcept;
 
-// Split the record at byte offset `off`: the original keeps [0, off) and the
-// returned chain holds [off, end). Cluster/outboard storage is shared, not
-// copied; descriptor mbufs are sliced. The second record gets a pkthdr iff
-// the first had one (lengths adjusted on both).
-[[nodiscard]] Mbuf* m_split(Mbuf* m, int off);
-
 // Prepend `len` bytes of space to a record, reusing leading space in the
 // first mbuf when possible, else allocating a new one. Returns the new head.
 // The pkthdr (if any) migrates to the new head, and pkthdr.len is updated.
@@ -57,23 +51,10 @@ void m_cat(Mbuf* a, Mbuf* b) noexcept;
 // Number of mbufs in the record.
 [[nodiscard]] int m_count(const Mbuf* m) noexcept;
 
-// FIFO queue of records (BSD ifqueue / sockbuf building block).
-class MbufQueue {
- public:
-  MbufQueue() = default;
-  MbufQueue(const MbufQueue&) = delete;
-  MbufQueue& operator=(const MbufQueue&) = delete;
-
-  void enqueue(Mbuf* record) noexcept;
-  [[nodiscard]] Mbuf* dequeue() noexcept;
-  [[nodiscard]] Mbuf* head() const noexcept { return head_; }
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-
- private:
-  Mbuf* head_ = nullptr;
-  Mbuf* tail_ = nullptr;
-  std::size_t count_ = 0;
-};
+// The one completion rule for M_UIO data (§4.4.2): whoever consumes the user
+// bytes (a driver at end-of-DMA, or the §5 copy into kernel mbufs) or drops
+// them calls this once per record. It completes each M_UIO mbuf's DmaSync by
+// its length, so the writer wakes and unpins whether or not the data left.
+void m_uio_done(const Mbuf* m);
 
 }  // namespace nectar::mbuf

@@ -1,7 +1,6 @@
 #include "net/sockbuf.h"
 
 #include <cassert>
-#include <cstdio>
 #include <stdexcept>
 
 namespace nectar::net {
@@ -40,7 +39,6 @@ void Sockbuf::append(Mbuf* chain) {
   }
   for (Mbuf* m = chain; m != nullptr; m = m->next) {
     cc_ += static_cast<std::size_t>(m->len());
-    if (m->type() == MbufType::kUio) uio_cc_ += static_cast<std::size_t>(m->len());
     tail_ = m;
   }
 }
@@ -53,14 +51,12 @@ void Sockbuf::drop(std::size_t n) {
     assert(head_ != nullptr);
     const auto mlen = static_cast<std::size_t>(head_->len());
     if (n >= mlen) {
-      if (head_->type() == MbufType::kUio) uio_cc_ -= mlen;
       Mbuf* dead = head_;
       head_ = head_->next;
       dead->next = nullptr;
       pool_->free_one(dead);
       n -= mlen;
     } else {
-      if (head_->type() == MbufType::kUio) uio_cc_ -= n;
       head_->trim_front(n);
       n = 0;
     }
@@ -75,30 +71,28 @@ Mbuf* Sockbuf::copy_range(std::uint64_t pos, std::size_t len) const {
                        static_cast<int>(len));
 }
 
-Sockbuf::Cursor Sockbuf::seek(std::uint64_t pos) {
+Sockbuf::Cursor Sockbuf::seek(std::uint64_t pos) const {
   if (pos < base_pos_ || pos > end_pos())
     throw std::out_of_range("Sockbuf::seek: outside buffered stream");
   std::size_t off = pos - base_pos_;
-  Mbuf** link = &head_;
   Mbuf* m = head_;
   while (m != nullptr && off >= static_cast<std::size_t>(m->len())) {
     // Stop *within* the mbuf when possible; at a boundary, land at the start
     // of the next mbuf.
     off -= static_cast<std::size_t>(m->len());
-    link = &m->next;
     m = m->next;
   }
-  return Cursor{m, link, off};
+  return Cursor{m, off};
 }
 
 MbufType Sockbuf::type_at(std::uint64_t pos) const {
-  auto cur = const_cast<Sockbuf*>(this)->seek(pos);
+  auto cur = seek(pos);
   if (cur.m == nullptr) throw std::out_of_range("Sockbuf::type_at: at end");
   return cur.m->type();
 }
 
 std::size_t Sockbuf::homogeneous_run(std::uint64_t pos, std::size_t maxlen) const {
-  auto cur = const_cast<Sockbuf*>(this)->seek(pos);
+  auto cur = seek(pos);
   if (cur.m == nullptr) return 0;
   const MbufType t = cur.m->type();
   std::size_t run = 0;
@@ -112,83 +106,10 @@ std::size_t Sockbuf::homogeneous_run(std::uint64_t pos, std::size_t maxlen) cons
 }
 
 std::size_t Sockbuf::mbuf_run(std::uint64_t pos, std::size_t maxlen) const {
-  auto cur = const_cast<Sockbuf*>(this)->seek(pos);
+  auto cur = seek(pos);
   if (cur.m == nullptr) return 0;
   const std::size_t rest = static_cast<std::size_t>(cur.m->len()) - cur.off;
   return rest < maxlen ? rest : maxlen;
-}
-
-void Sockbuf::convert_to_wcab(std::uint64_t pos, std::size_t len, const mbuf::Wcab& w,
-                              const mbuf::UioWcabHdr& hdr) {
-  if (len == 0) return;
-  if (pos < base_pos_ || pos + len > end_pos())
-    throw std::out_of_range("Sockbuf::convert_to_wcab: outside buffered stream");
-
-  // Split at the front boundary if it falls inside an mbuf.
-  Cursor front = seek(pos);
-  assert(front.m != nullptr);
-  if (front.off != 0) {
-    Mbuf* m = front.m;
-    if (m->type() != MbufType::kUio)
-      throw std::logic_error("Sockbuf::convert_to_wcab: range not UIO data");
-    // Split m into [0, off) and [off, ...).
-    mem::Uio tail_uio = m->uio().slice(front.off, m->len() - front.off);
-    Mbuf* tail_part = pool_->get_uio(std::move(tail_uio),
-                                     static_cast<std::size_t>(m->len()) - front.off,
-                                     m->uw_hdr(), false);
-    tail_part->next = m->next;
-    m->trim_back(static_cast<std::size_t>(m->len()) - front.off);
-    m->next = tail_part;
-    if (tail_ == m) tail_ = tail_part;
-    front.m = tail_part;
-    front.link = &m->next;
-    front.off = 0;
-  }
-
-  // Walk and unlink exactly `len` bytes of UIO mbufs.
-  Mbuf** link = front.link;
-  Mbuf* m = front.m;
-  std::size_t remaining = len;
-  while (remaining > 0) {
-    assert(m != nullptr);
-    if (m->type() != MbufType::kUio)
-      throw std::logic_error("Sockbuf::convert_to_wcab: range not UIO data");
-    const auto mlen = static_cast<std::size_t>(m->len());
-    if (mlen > remaining) {
-      // Back boundary inside this mbuf: trim its front, keep it.
-      m->trim_front(remaining);
-      uio_cc_ -= remaining;
-      remaining = 0;
-      break;
-    }
-    Mbuf* dead = m;
-    m = m->next;
-    *link = m;
-    dead->next = nullptr;
-    if (tail_ == dead) tail_ = (m == nullptr) ? nullptr : tail_;
-    uio_cc_ -= mlen;
-    remaining -= mlen;
-    pool_->free_one(dead);
-  }
-
-  // Insert the WCAB mbuf where the UIO data was.
-  Mbuf* wm = pool_->get_wcab(w, len, hdr, false);
-  wm->next = *link;
-  *link = wm;
-  if (wm->next == nullptr) tail_ = wm;
-  recount();
-}
-
-void Sockbuf::recount() noexcept {
-  // Re-derive tail_ defensively after structural surgery (cheap relative to
-  // DMA completion frequency; chains are short).
-  if (head_ == nullptr) {
-    tail_ = nullptr;
-    return;
-  }
-  Mbuf* m = head_;
-  while (m->next != nullptr) m = m->next;
-  tail_ = m;
 }
 
 }  // namespace nectar::net

@@ -1,16 +1,17 @@
 // Socket buffer: the stream buffer shared between the socket layer and TCP.
 //
-// The send buffer holds a mixed chain of regular, M_UIO, and M_WCAB mbufs in
-// stream order. Positions are tracked in *stream coordinates* (a monotonic
-// 64-bit byte offset from connection start, base_pos() being the offset of
-// the first byte currently buffered): DMA completions convert UIO ranges to
-// WCAB by absolute position, immune to concurrent front drops by ACKs.
+// A TCP send buffer holds a mixed chain of regular and M_WCAB mbufs in stream
+// order: single-copy writes are staged outboard before they are appended
+// (the paper's UIO -> WCAB conversion "after the data has been copied
+// outboard" happens in the socket layer's staging). Positions are tracked in
+// *stream coordinates* (a monotonic 64-bit byte offset from connection
+// start, base_pos() being the offset of the first byte currently buffered),
+// so TCP addresses segments by absolute position, immune to concurrent front
+// drops by ACKs.
 //
-// This is where two of the paper's stack changes live (§4.2):
-//  * "code that searches the transmit queue for a block of data at a
-//     specific offset" — copy_range(), which m_copym's across mixed types;
-//  * the UIO -> WCAB conversion "after the data has been copied outboard" —
-//     convert_to_wcab().
+// This is where the paper's "code that searches the transmit queue for a
+// block of data at a specific offset" lives (§4.2): copy_range(), which
+// m_copym's across mixed types.
 #pragma once
 
 #include <cstdint>
@@ -49,17 +50,6 @@ class Sockbuf {
   // coordinates. Descriptor mbufs are sliced/shared per mbuf_ops rules.
   [[nodiscard]] mbuf::Mbuf* copy_range(std::uint64_t pos, std::size_t len) const;
 
-  // Replace [pos, pos+len) — which must currently be M_UIO data — with a
-  // single M_WCAB mbuf describing the same bytes outboard. Splits boundary
-  // mbufs as needed. `w` is adopted (refcount not incremented here).
-  void convert_to_wcab(std::uint64_t pos, std::size_t len, const mbuf::Wcab& w,
-                       const mbuf::UioWcabHdr& hdr);
-
-  // Number of leading bytes (from `pos`) that are already outboard (M_WCAB)
-  // or host-resident (regular) vs still M_UIO. Used by the driver to decide
-  // the transmit method and by sosend to decide when a write's data is safe.
-  [[nodiscard]] std::size_t uio_bytes() const noexcept { return uio_cc_; }
-
   // The mbuf type at stream position pos (head_ must cover pos).
   [[nodiscard]] mbuf::MbufType type_at(std::uint64_t pos) const;
 
@@ -77,17 +67,14 @@ class Sockbuf {
  private:
   struct Cursor {
     mbuf::Mbuf* m;
-    mbuf::Mbuf** link;  // pointer to the link that points at m
-    std::size_t off;    // offset within m
+    std::size_t off;  // offset within m
   };
-  Cursor seek(std::uint64_t pos);
-  void recount() noexcept;
+  [[nodiscard]] Cursor seek(std::uint64_t pos) const;
 
   mbuf::MbufPool* pool_ = nullptr;  // set on first append
   mbuf::Mbuf* head_ = nullptr;
   mbuf::Mbuf* tail_ = nullptr;
   std::size_t cc_ = 0;
-  std::size_t uio_cc_ = 0;
   std::size_t hiwat_;
   std::uint64_t base_pos_ = 0;
 };

@@ -90,10 +90,6 @@ void TcpConnection::cache_route() {
   route_if_ = r ? r->ifp : nullptr;
 }
 
-std::uint32_t TcpConnection::pos_to_seq(std::uint64_t pos) const noexcept {
-  return iss_ + 1 + static_cast<std::uint32_t>(pos);
-}
-
 std::uint64_t TcpConnection::seq_to_pos(std::uint32_t seq) const noexcept {
   return una_pos_ + (seq - snd_una_);
 }
@@ -324,12 +320,12 @@ sim::Task<void> TcpConnection::input(KernCtx ctx, Mbuf* pkt, const IpHeader& ih)
 void TcpConnection::debug_dump(const char* tag) const {
   std::fprintf(stderr,
                "[tcp %s] state=%s una=%u nxt=%u max=%u wnd=%u cwnd=%u "
-               "sb_cc=%zu rb_cc=%zu uio=%zu rexmt=%d persist=%d delack=%d "
+               "sb_cc=%zu rb_cc=%zu rexmt=%d persist=%d delack=%d "
                "in_out=%d fin_q=%d fin_s=%d ooo=%zu una_pos=%llu sb_base=%llu "
                "sb_end=%llu\n",
                tag, tcp_state_name(state_), snd_una_, snd_nxt_, snd_max_,
                snd_wnd_, cwnd_, cb_->snd().cc(), cb_->rcv().cc(),
-               cb_->snd().uio_bytes(), rexmt_timer_.armed() ? 1 : 0,
+               rexmt_timer_.armed() ? 1 : 0,
                persist_timer_.armed() ? 1 : 0, delack_timer_.armed() ? 1 : 0,
                in_output_ ? 1 : 0, fin_queued_ ? 1 : 0, fin_sent_ ? 1 : 0,
                ooo_.size(), (unsigned long long)una_pos_,

@@ -7,10 +7,11 @@
 // reassembly queue.
 //
 // Paper-specific machinery (§4.2, §4.3):
-//  * The send buffer is a mixed chain (regular / M_UIO / M_WCAB). Segment
-//    data is produced by Sockbuf::copy_range — "code that searches the
-//    transmit queue for a block of data at a specific offset" — which shares
-//    descriptors instead of copying bytes.
+//  * The send buffer is a mixed chain of regular and M_WCAB mbufs: the
+//    socket layer stages single-copy writes outboard before TCP sees them.
+//    Segment data is produced by Sockbuf::copy_range — "code that searches
+//    the transmit queue for a block of data at a specific offset" — which
+//    shares descriptors instead of copying bytes.
 //  * In single-copy mode segments never span mbufs of different types
 //    (Sockbuf::homogeneous_run), matching the measured stack's
 //    non-coalescing behaviour (§7.1).
@@ -219,13 +220,12 @@ class TcpConnection {
   [[nodiscard]] sim::Duration rto() const noexcept;
   void drop_ooo_queue();
   void teardown();             // unbind + cancel timers
-  [[nodiscard]] std::uint32_t pos_to_seq(std::uint64_t pos) const noexcept;
   [[nodiscard]] std::uint64_t seq_to_pos(std::uint32_t seq) const noexcept;
 
   // tcp_output.cc -----------------------------------------------------------
   sim::Task<void> output(KernCtx ctx);
   sim::Task<void> send_segment(KernCtx ctx, std::uint32_t seq, std::size_t len,
-                               std::uint8_t flags, bool rexmt);
+                               std::uint8_t flags);
   sim::Task<void> send_control(KernCtx ctx, std::uint32_t seq, std::uint8_t flags);
   [[nodiscard]] std::uint16_t advertised_window();
 

@@ -254,7 +254,7 @@ sim::Task<void> TcpConnection::process_ack(KernCtx ctx, const TcpHeader& th) {
             rlen = sb.homogeneous_run(pos, rlen);
           }
         }
-        co_await send_segment(ctx, snd_nxt_, rlen, kTcpAck, /*rexmt=*/true);
+        co_await send_segment(ctx, snd_nxt_, rlen, kTcpAck);
         ++stats_.rexmt_segs;
         snd_nxt_ = saved_nxt;
       }

@@ -99,18 +99,8 @@ sim::Task<void> Udp::output(KernCtx ctx, Mbuf* data, IpAddr src, std::uint16_t s
   h->next = data;
   h->pkthdr.len = static_cast<int>(kUdpHdrLen + dlen);
 
-  // Single-copy notification: the write returns when its data is outboard.
-  // A fragmented datagram raises one completion per fragment (each fragment
-  // record inherits this pkthdr), so count by the per-packet payload size.
-  if (descriptor_data && data->type() == mbuf::MbufType::kUio) {
-    mbuf::DmaSync* sync = data->uw_hdr().sync;
-    if (sync != nullptr) {
-      h->pkthdr.on_outboarded = [sync](const mbuf::Wcab& w) {
-        sync->done(static_cast<int>(w.valid));
-      };
-    }
-  }
-
+  // A single-copy writer's counter completes in the driver that consumes or
+  // drops each (fragment) record (mbuf::m_uio_done).
   co_await stack_.ip().output(ctx, h, src, dst, kProtoUdp, /*dont_fragment=*/false);
 }
 

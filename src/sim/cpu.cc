@@ -29,9 +29,4 @@ void Cpu::release() {
   sim_.after(0, [h] { h.resume(); });
 }
 
-void Cpu::reset_accounts() {
-  for (auto& a : accounts_) a.busy = 0;
-  total_busy_ = 0;
-}
-
 }  // namespace nectar::sim

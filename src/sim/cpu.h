@@ -61,9 +61,6 @@ class Cpu {
     return static_cast<Duration>(static_cast<double>(work) * scale_);
   }
 
-  // Zero all accounts (used to discard warm-up work before a measurement).
-  void reset_accounts();
-
  private:
   struct Account {
     std::string name;

@@ -12,11 +12,13 @@
 //
 // Single-copy transmit (§4.4.1, §4.4.2): the data is pinned and mapped
 // incrementally in application context (quantum = the interface MTU, which
-// is what the paper's §7.3 per-packet pin/unpin/map accounting assumes),
-// described by an M_UIO mbuf appended to the send buffer, and the call
-// returns only when every byte has been copied outboard (the UIO-counter
-// synchronization; DMAs are uncancelable). Receive mirrors it: M_WCAB data
-// in the receive buffer is DMAed straight to the (pinned) user buffer.
+// is what the paper's §7.3 per-packet pin/unpin/map accounting assumes).
+// TCP stages each packet outboard at once (Ifnet::copy_in), so its send
+// buffer receives M_WCAB mbufs; a UDP datagram goes down the stack as one
+// M_UIO record. The call returns only when the driver has copied or dropped
+// every byte (the UIO-counter synchronization; DMAs are uncancelable).
+// Receive mirrors it: M_WCAB data in the receive buffer is DMAed straight to
+// the (pinned) user buffer.
 #pragma once
 
 #include <cassert>

@@ -199,6 +199,39 @@ TEST_F(IpFixture, OversizePacketFragmentsAndReassembles) {
   tb.b->pool().free_chain(got);
 }
 
+TEST_F(IpFixture, LostFragmentTimesOutAndFreesTheRest) {
+  // The first fragment of a two-fragment UDP datagram reaches B; the second
+  // is lost. Reassembly holds the first for 30 s, then frees it.
+  auto& pool = tb.b->pool();
+  const std::int64_t baseline = pool.in_use();
+  constexpr std::size_t kFragPayload = 1024;  // a multiple of 8
+  std::vector<std::byte> raw(kIpHdrLen + kFragPayload, std::byte{0x5a});
+  IpHeader ih;
+  ih.total_len = static_cast<std::uint16_t>(raw.size());
+  ih.id = 7;
+  ih.more_fragments = true;
+  ih.proto = kProtoUdp;
+  ih.src = core::Testbed::kIpA;
+  ih.dst = core::Testbed::kIpB;
+  write_ip_header({raw.data(), kIpHdrLen}, ih);
+  write_udp_header({raw.data() + kIpHdrLen, kUdpHdrLen},
+                   UdpHeader{3000, 4000, 2 * kFragPayload, 0});
+  mbuf::Mbuf* frag = pool.get_cluster(true);
+  frag->append(raw);
+  frag->pkthdr.len = static_cast<int>(raw.size());
+  sim::spawn(tb.b->stack().ip().input(
+      net::KernCtx{tb.b->intr_acct(), sim::Priority::Kernel}, frag, tb.cab_b));
+
+  const auto& st = tb.b->stack().ip().stats();
+  tb.sim.run_until(tb.sim.now() + 29 * sim::kSecond);
+  EXPECT_EQ(st.frag_timeouts, 0u);
+  EXPECT_GT(pool.in_use(), baseline);  // still queued for reassembly
+  tb.sim.run_until(tb.sim.now() + 2 * sim::kSecond);
+  EXPECT_EQ(st.frag_timeouts, 1u);
+  EXPECT_EQ(st.reassembled, 0u);
+  EXPECT_EQ(pool.in_use(), baseline);
+}
+
 TEST_F(IpFixture, DatagramBeyondIpv4LimitDropped) {
   mbuf::Mbuf* got = send_raw(100'000);
   EXPECT_EQ(got, nullptr);

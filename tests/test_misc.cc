@@ -1,5 +1,5 @@
-// Odds and ends: CPU account reset, netstat sections, kernapp pattern
-// helpers, and the testbeds' fabric and routing wiring.
+// Odds and ends: netstat sections, kernapp pattern helpers, and the
+// testbeds' fabric and routing wiring.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,21 +10,9 @@
 #include "core/sharded_testbed.h"
 #include "core/testbed.h"
 #include "kernapp/kernel_socket.h"
-#include "tests/test_util.h"
 
 namespace nectar {
 namespace {
-
-TEST(CpuAccounts, ResetZeroesEverything) {
-  sim::Simulator simu;
-  sim::Cpu cpu(simu);
-  auto a = cpu.make_account("a");
-  testutil::run_task_void(simu, cpu.run(sim::usec(50), a));
-  EXPECT_GT(cpu.total_busy(), 0);
-  cpu.reset_accounts();
-  EXPECT_EQ(cpu.busy(a), 0);
-  EXPECT_EQ(cpu.total_busy(), 0);
-}
 
 TEST(KernappHelpers, PatternChainRoundTrip) {
   sim::Simulator simu;

@@ -96,11 +96,6 @@ TEST(Utilization, UtilSoakerMeasuresIdleLikeThePaper) {
   EXPECT_LT(direct, 0.45);
 }
 
-TEST(Stats, FormatRowPads) {
-  const std::string row = core::format_row({"a", "bb"}, {4, 4});
-  EXPECT_EQ(row, "a     bb  ");
-}
-
 // ---- Sockbuf stream machinery (TCP's foundation) ---------------------------
 
 struct SockbufFixture : ::testing::Test {
@@ -171,44 +166,19 @@ struct FakeOwner final : mbuf::OutboardOwner {
   void outboard_release(std::uint32_t) override { --refs; }
 };
 
-TEST_F(SockbufFixture, ConvertToWcabReplacesUioRange) {
-  mem::AddressSpace as("u");
-  mem::UserBuffer buf(as, 10000);
-  sb.append(pool.get_uio(buf.as_uio(), 10000, mbuf::UioWcabHdr{}, false));
-  EXPECT_EQ(sb.uio_bytes(), 10000u);
-
+TEST_F(SockbufFixture, DropReleasesWcabReference) {
   FakeOwner owner;
   mbuf::Wcab w;
   w.owner = &owner;
   w.handle = 1;
-  w.data_off = 100;
-  w.valid = 4000;
-  owner.refs = 1;  // the reference being adopted
-  sb.convert_to_wcab(2000, 4000, w, mbuf::UioWcabHdr{});
-
-  EXPECT_EQ(sb.cc(), 10000u);  // byte count unchanged
-  EXPECT_EQ(sb.uio_bytes(), 6000u);
-  EXPECT_EQ(sb.type_at(0), mbuf::MbufType::kUio);
-  EXPECT_EQ(sb.type_at(2000), mbuf::MbufType::kWcab);
-  EXPECT_EQ(sb.type_at(5999), mbuf::MbufType::kWcab);
-  EXPECT_EQ(sb.type_at(6000), mbuf::MbufType::kUio);
-  // The split UIO pieces still reference the right user addresses.
-  mbuf::Mbuf* front = sb.copy_range(0, 2000);
-  EXPECT_EQ(front->uio().iov[0].base, buf.addr());
-  pool.free_chain(front);
-  mbuf::Mbuf* back = sb.copy_range(6000, 4000);
-  EXPECT_EQ(back->uio().iov[0].base, buf.addr() + 6000);
-  pool.free_chain(back);
-  // Dropping through the WCAB releases the outboard reference.
-  sb.drop(6000);
-  EXPECT_EQ(owner.refs, 0);
-}
-
-TEST_F(SockbufFixture, ConvertNonUioRangeThrows) {
+  owner.refs = 1;  // the reference the M_WCAB mbuf adopts
   sb.append(data_mbuf(1000, std::byte{1}));
-  mbuf::Wcab w;
-  EXPECT_THROW(sb.convert_to_wcab(0, 500, w, mbuf::UioWcabHdr{}),
-               std::logic_error);
+  sb.append(pool.get_wcab(w, 4000, mbuf::UioWcabHdr{}, false));
+  sb.drop(3000);  // into the WCAB: trimmed, still referenced
+  EXPECT_EQ(owner.refs, 1);
+  sb.drop(2000);  // through it: the outboard reference goes with the mbuf
+  EXPECT_EQ(owner.refs, 0);
+  EXPECT_TRUE(sb.empty());
 }
 
 // --- JSON value -------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Unit/behaviour tests: UDP datagrams over both stack paths, checksum
 // policy (hardware seed / software / disabled-on-fragmentation), datagram
-// boundaries, and port demultiplexing.
+// boundaries, port demultiplexing, single-copy writes whose datagram the CAB
+// drops, and the receiver's copy-out retry and give-up.
 #include <gtest/gtest.h>
 
 #include "apps/ttcp.h"
@@ -64,6 +65,66 @@ struct UdpFixture : ::testing::Test {
     if (tx_stats != nullptr) *tx_stats = tx.sock_stats();
     return got;
   }
+
+  // Start `writers` single-copy sendto()s of `len` bytes from A at once, each
+  // on its own socket, and run one second of simulated time. Returns how many
+  // of the writes returned.
+  std::size_t concurrent_single_copy_sendtos(std::size_t writers, std::size_t len) {
+    SocketOptions so;
+    so.policy = CopyPolicy::kAlwaysSingleCopy;
+    std::vector<std::unique_ptr<Socket>> socks;
+    std::vector<std::unique_ptr<mem::UserBuffer>> bufs;
+    std::size_t returned = 0;
+    auto send = [&](Socket& s, mem::UserBuffer& b) -> sim::Task<void> {
+      auto ctx = pa.ctx();
+      (void)co_await s.sendto(ctx, b.as_uio(), Testbed::kIpB, 4000);
+      ++returned;
+    };
+    for (std::size_t i = 0; i < writers; ++i) {
+      socks.push_back(std::make_unique<Socket>(tb.a->stack(), Socket::Proto::kUdp, so));
+      socks.back()->bind(static_cast<std::uint16_t>(3000 + i));
+      bufs.push_back(std::make_unique<mem::UserBuffer>(pa.as, len));
+      sim::spawn(send(*socks.back(), *bufs.back()));
+    }
+    tb.run_until_done([&] { return returned == writers; }, tb.sim.now() + sim::kSecond);
+    return returned;
+  }
+
+  // Deliver one single-copy datagram of `len` bytes to a socket on B, then
+  // make the next `errors` SDMA transfers on B's CAB fail and read it: the
+  // reader's copy-out meets the errors. Returns whether the read returned
+  // within a minute; `bad` counts the bytes that differ from what was sent.
+  bool read_under_sdma_errors(std::size_t len, std::uint32_t errors, std::size_t& bad) {
+    SocketOptions so;
+    so.policy = CopyPolicy::kAlwaysSingleCopy;
+    Socket tx(tb.a->stack(), Socket::Proto::kUdp, so);
+    Socket rx(tb.b->stack(), Socket::Proto::kUdp, so);
+    tx.bind(3000);
+    rx.bind(4000);
+    mem::UserBuffer src(pa.as, len);
+    src.fill_pattern(7);
+    mem::UserBuffer dst(pb.as, len);
+    auto send = [&]() -> sim::Task<void> {
+      auto ctx = pa.ctx();
+      (void)co_await tx.sendto(ctx, src.as_uio(), Testbed::kIpB, 4000);
+    };
+    sim::spawn(send());
+    tb.run_until_done([&] { return tb.b->stack().udp().stats().in_datagrams == 1; },
+                      tb.sim.now() + sim::kSecond);
+    tb.cab_b->device().sdma().inject_errors(errors);
+    bool done = false;
+    auto recv = [&]() -> sim::Task<void> {
+      auto ctx = pb.ctx();
+      (void)co_await rx.recvfrom(ctx, dst.as_uio());
+      done = true;
+    };
+    sim::spawn(recv());
+    tb.run_until_done(done, tb.sim.now() + 60 * sim::kSecond);
+    bad = 0;
+    for (std::size_t i = 0; i < len; ++i)
+      if (dst.view()[i] != mem::UserBuffer::pattern_byte(7, i)) ++bad;
+    return done;
+  }
 };
 
 TEST_F(UdpFixture, SmallDatagramCopyPath) {
@@ -101,6 +162,46 @@ TEST_F(UdpFixture, OversizeDatagramFragmentsCopyPath) {
   // the fragmented datagram keeps a software checksum end to end.
   EXPECT_GT(tb.a->stack().udp().stats().sw_csum_tx, 0u);
   EXPECT_EQ(tb.b->stack().udp().stats().bad_checksum, 0u);
+}
+
+// A single-copy write returns once the driver has consumed or dropped its
+// data: a datagram the CAB drops for want of outboard memory or of SDMA queue
+// space still completes the writer's UIO counter and unpins its pages.
+TEST_F(UdpFixture, SingleCopyWriteReturnsWhenOutboardMemoryExhausted) {
+  tb.cab_a->device().nm().set_force_exhausted(true);
+  EXPECT_EQ(concurrent_single_copy_sendtos(1, 8 * 1024), 1u);
+  EXPECT_GT(tb.cab_a->if_stats.oerrors, 0u);
+  EXPECT_GT(tb.cab_a->drv_stats.tx_no_memory, 0u);
+  EXPECT_EQ(tb.a->vm().pinned_pages(), 0u);
+}
+
+TEST_F(UdpFixture, SingleCopyWritesReturnWhenSdmaQueueOverruns) {
+  // 200 writers against the 128-deep SDMA command queue: the overflow is
+  // rejected at post time.
+  EXPECT_EQ(concurrent_single_copy_sendtos(200, 8 * 1024), 200u);
+  EXPECT_GT(tb.cab_a->if_stats.oerrors, 0u);
+  EXPECT_EQ(tb.a->vm().pinned_pages(), 0u);
+}
+
+// The receiving CAB's copy-out (§3) reposts a failed SDMA after a pause, and
+// gives up loudly once its retry limit is spent so the reader never hangs.
+TEST_F(UdpFixture, CopyOutRetriesFailedSdmaOnTheReceiver) {
+  std::size_t bad = SIZE_MAX;
+  EXPECT_TRUE(read_under_sdma_errors(30 * 1024, 3, bad));
+  EXPECT_EQ(bad, 0u);  // every byte arrived intact
+  EXPECT_EQ(tb.cab_b->rec_stats.copyout_retries, 3u);
+  EXPECT_EQ(tb.cab_b->rec_stats.copyouts_failed, 0u);
+}
+
+TEST_F(UdpFixture, CopyOutGivesUpAfterRetryLimitAndReaderReturns) {
+  std::size_t bad = 0;
+  EXPECT_TRUE(read_under_sdma_errors(30 * 1024, 1'000'000, bad));
+  EXPECT_GT(bad, 0u);  // the outboard bytes never arrived...
+  EXPECT_GT(tb.cab_b->rec_stats.copyout_retries, 0u);
+  EXPECT_EQ(tb.cab_b->rec_stats.copyouts_failed, 1u);  // ...and the loss is counted
+  // The abandoned copy-out returned its outboard buffer and the reader's pins.
+  EXPECT_EQ(tb.cab_b->device().nm().used_bytes(), 0u);
+  EXPECT_EQ(tb.b->vm().pinned_pages(), 0u);
 }
 
 TEST_F(UdpFixture, UnalignedBufferFallsBack) {
